@@ -6,11 +6,14 @@
 //   1. Build scaling — graph construction is superlinear in n, so K
 //      parallel builds of n/K rows each should beat one build of n rows by
 //      MORE than the K-way parallelism alone. The acceptance bar: K>=4
-//      sharded build <= 0.6x the single-index wall-clock for hnsw and
-//      vamana on this workload. Both the measured wall-clock and the
-//      parallel critical path (partition + slowest shard; the wall-clock
-//      with >= K free cores) are reported, so a core-starved runner still
-//      shows the parallel number honestly.
+//      sharded build <= 0.6x the single-index wall-clock for a method
+//      whose single build is serial (vamana). HNSW's single build already
+//      runs batch insertion on every core, while each shard builds on one
+//      thread, so its ratio sits near 1x at K=4 on a 4-core machine.
+//      Both the measured wall-clock and the parallel critical path
+//      (partition + slowest shard; the wall-clock with >= K free cores)
+//      are reported, so a core-starved runner still shows the parallel
+//      number honestly.
 //
 //   2. Search quality — centroid routing turns the partition into an
 //      accuracy knob: nprobe=K must match the single-index recall ballpark
@@ -32,11 +35,10 @@
 //   --seed=N         default 42
 //
 // The replica-overhead table (at the largest K) quantifies what N-way
-// replication costs: build time and footprint scale ~linearly with R
-// (every replica is an independent construction of the same graph), while
-// recall is bit-identical by construction — replicas share the factory and
-// the derived seed, so they ARE the same graph. See docs/SHARDING.md
-// "Replication".
+// replication costs: footprint scales ~linearly with R, build time only by
+// the snapshot copies (replicas 1..R-1 are copied from replica 0, not
+// rebuilt), while recall is bit-identical by construction — every replica
+// IS the same graph. See docs/SHARDING.md "Replication".
 
 #include <algorithm>
 #include <cmath>
@@ -283,10 +285,9 @@ void RunMethod(const std::string& method, const core::Dataset& base,
   }
 
   // Replica overhead at the largest K: R bit-identical replicas per shard
-  // multiply build cost and footprint by ~R, and buy replica failover /
-  // anti-entropy instead of recall — which must come out IDENTICAL to R=1
-  // (replicas share the factory and the derived per-shard seed, so every
-  // replica is the same graph).
+  // multiply the footprint by ~R (the build pays only for copies), and buy
+  // replica failover / anti-entropy instead of recall — which must come
+  // out IDENTICAL to R=1 (every replica is a copy of the same graph).
   if (widest.num_shards() > 1 && options.max_replicas > 1) {
     widest.SetNprobe(0);
     std::printf("-- replica overhead at K=%zu (nprobe = K) --\n",

@@ -54,7 +54,6 @@ class CandidatePool {
   bool full() const { return pool_.size() == capacity_; }
 
   const Neighbor& operator[](std::size_t i) const { return pool_[i]; }
-  Neighbor& operator[](std::size_t i) { return pool_[i]; }
 
   /// Distance of the current worst (last) candidate; +inf when not full.
   /// Once full, an external prune bound (SetPruneBound) caps the value —
@@ -106,21 +105,26 @@ class CandidatePool {
       }
     }
     pool_.insert(pool_.begin() + static_cast<std::ptrdiff_t>(lo), candidate);
+    if (lo <= first_unexplored_) {
+      first_unexplored_ = candidate.explored ? first_unexplored_ + 1 : lo;
+    }
     if (pool_.size() > capacity_) pool_.pop_back();
+    if (first_unexplored_ > pool_.size()) first_unexplored_ = pool_.size();
     return lo;
   }
 
-  /// Index of the closest unexplored candidate, or size() if none.
-  std::size_t FirstUnexplored() const {
-    for (std::size_t i = 0; i < pool_.size(); ++i) {
-      if (!pool_[i].explored) return i;
-    }
-    return pool_.size();
-  }
+  /// Index of the closest unexplored candidate, or size() if none. O(1):
+  /// Insert and MarkExplored keep the cursor current, so a beam search does
+  /// not rescan the explored prefix on every hop.
+  std::size_t FirstUnexplored() const { return first_unexplored_; }
 
   void MarkExplored(std::size_t i) {
     GASS_DCHECK(i < pool_.size());
     pool_[i].explored = true;
+    while (first_unexplored_ < pool_.size() &&
+           pool_[first_unexplored_].explored) {
+      ++first_unexplored_;
+    }
   }
 
   /// Copies out the best `k` candidates (fewer if the pool is smaller).
@@ -132,7 +136,10 @@ class CandidatePool {
 
   const std::vector<Neighbor>& contents() const { return pool_; }
 
-  void Clear() { pool_.clear(); }
+  void Clear() {
+    pool_.clear();
+    first_unexplored_ = 0;
+  }
 
  private:
   static constexpr float kInfinity = 3.402823466e38f;
@@ -140,6 +147,7 @@ class CandidatePool {
   std::size_t capacity_;
   float bound_ = kInfinity;
   std::vector<Neighbor> pool_;
+  std::size_t first_unexplored_ = 0;  ///< Index of the first unexplored.
 };
 
 }  // namespace gass::core

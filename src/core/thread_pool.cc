@@ -4,6 +4,14 @@
 
 namespace gass::core {
 
+namespace {
+
+// True on pool workers and ParallelFor workers: a ParallelFor issued there
+// runs inline, so nested parallelism never multiplies the thread count.
+thread_local bool t_in_parallel_worker = false;
+
+}  // namespace
+
 ThreadPool::ThreadPool(std::size_t threads) {
   if (threads == 0) threads = DefaultThreadCount();
   workers_.reserve(threads);
@@ -51,6 +59,7 @@ void ThreadPool::Wait() {
 }
 
 void ThreadPool::WorkerLoop() {
+  t_in_parallel_worker = true;
   for (;;) {
     std::function<void()> task;
     {
@@ -89,7 +98,7 @@ void ParallelFor(std::size_t count, std::size_t threads,
   if (count == 0) return;
   if (threads == 0) threads = DefaultThreadCount();
   threads = std::min(threads, count);
-  if (threads <= 1) {
+  if (threads <= 1 || t_in_parallel_worker) {
     for (std::size_t i = 0; i < count; ++i) fn(0, i);
     return;
   }
@@ -104,6 +113,7 @@ void ParallelFor(std::size_t count, std::size_t threads,
     if (begin >= end) break;
     workers.emplace_back(
         [w, begin, end, &fn, &exception_mutex, &first_exception] {
+          t_in_parallel_worker = true;
           try {
             for (std::size_t i = begin; i < end; ++i) fn(w, i);
           } catch (...) {

@@ -82,6 +82,11 @@ class ThreadPool {
 /// callers keep per-worker scratch (DistanceComputer, VisitedTable) without
 /// locking.
 ///
+/// A ParallelFor issued from a ThreadPool task or from inside another
+/// ParallelFor's workers runs inline on the calling thread with worker
+/// index 0, so nested parallel code (an HNSW build inside a sharded build)
+/// never oversubscribes the machine.
+///
 /// An exception thrown by `fn` ends that worker's chunk (other chunks run
 /// to completion) and the first one captured is rethrown on the calling
 /// thread after the join — same contract as ThreadPool::Wait().

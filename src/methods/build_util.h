@@ -34,10 +34,29 @@ inline void AppendScored(core::DistanceComputer& dc, core::VectorId v,
   }
 }
 
+/// Adds the edge target -> source unless present; a list that overflows
+/// `prune.max_degree` is re-pruned with the same ND strategy (the standard
+/// II/Vamana overflow treatment). Touches only `target`'s list.
+inline void AddReverseEdge(core::DistanceComputer& dc, core::Graph* graph,
+                           core::VectorId target, core::VectorId source,
+                           const diversify::Params& prune,
+                           diversify::PruneStats* stats = nullptr) {
+  auto& back = graph->MutableNeighbors(target);
+  if (std::find(back.begin(), back.end(), source) != back.end()) return;
+  back.push_back(source);
+  if (back.size() <= prune.max_degree) return;
+  std::vector<core::Neighbor> candidates;
+  candidates.reserve(back.size());
+  AppendScored(dc, target, back.data(), back.size(), &candidates);
+  std::sort(candidates.begin(), candidates.end());
+  const std::vector<core::Neighbor> re_kept =
+      diversify::Diversify(dc, target, candidates, prune, stats);
+  back.clear();
+  for (const core::Neighbor& b : re_kept) back.push_back(b.id);
+}
+
 /// Installs `kept` as v's neighbor list and adds the reverse edge to each
-/// kept neighbor; a reverse list that overflows `prune.max_degree` is
-/// re-pruned with the same ND strategy (the standard II/Vamana overflow
-/// treatment).
+/// kept neighbor (see AddReverseEdge).
 inline void InstallBidirectional(core::DistanceComputer& dc,
                                  core::Graph* graph, core::VectorId v,
                                  const std::vector<core::Neighbor>& kept,
@@ -46,21 +65,8 @@ inline void InstallBidirectional(core::DistanceComputer& dc,
   auto& forward = graph->MutableNeighbors(v);
   forward.clear();
   for (const core::Neighbor& nb : kept) forward.push_back(nb.id);
-
   for (const core::Neighbor& nb : kept) {
-    auto& back = graph->MutableNeighbors(nb.id);
-    if (std::find(back.begin(), back.end(), v) != back.end()) continue;
-    back.push_back(v);
-    if (back.size() > prune.max_degree) {
-      std::vector<core::Neighbor> candidates;
-      candidates.reserve(back.size());
-      AppendScored(dc, nb.id, back.data(), back.size(), &candidates);
-      std::sort(candidates.begin(), candidates.end());
-      const std::vector<core::Neighbor> re_kept =
-          diversify::Diversify(dc, nb.id, candidates, prune, stats);
-      back.clear();
-      for (const core::Neighbor& b : re_kept) back.push_back(b.id);
-    }
+    AddReverseEdge(dc, graph, nb.id, v, prune, stats);
   }
 }
 

@@ -37,7 +37,17 @@ inline void EncodeParams(io::Encoder* enc, const hash::LshParams& p) {
   enc->U64(p.projection_dim);
 }
 
+/// Version of HNSW's construction algorithm, folded into every fingerprint
+/// that encodes HnswParams (HNSW, HVS, LSH-APG, ELPIS, LIVE-HNSW): the same
+/// parameters built a different graph under the one-node-at-a-time builder
+/// (whose fingerprints carry no version), so its snapshots must fail the
+/// fingerprint check rather than be adopted. Version 2 is deterministic
+/// batch insertion. The build thread count is not encoded: it never
+/// changes the graph.
+inline constexpr std::uint32_t kHnswConstructionVersion = 2;
+
 inline void EncodeParams(io::Encoder* enc, const HnswParams& p) {
+  enc->U32(kHnswConstructionVersion);
   enc->U64(p.m);
   enc->U64(p.ef_construction);
   enc->U64(p.seed);

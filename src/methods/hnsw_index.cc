@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "core/beam_search.h"
 #include "core/macros.h"
+#include "core/thread_pool.h"
 #include "diversify/diversify.h"
 #include "methods/build_util.h"
 #include "methods/fingerprint.h"
@@ -53,59 +55,129 @@ core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
   return current;
 }
 
-void HnswIndex::InsertNode(DistanceComputer& dc, VectorId v) {
-  const core::Dataset& data = *data_;
-
-  // Draw the node's maximum layer per Eq. 1.
+std::uint32_t HnswIndex::DrawLevel() {
   const double denom =
       std::log(std::max(2.0, static_cast<double>(params_.m) / 2.0));
   double xi = level_rng_->UniformDouble();
   if (xi < 1e-12) xi = 1e-12;
-  const auto node_level =
-      static_cast<std::uint32_t>(-std::log(xi) / denom);
-  level_[v] = node_level;
+  return static_cast<std::uint32_t>(-std::log(xi) / denom);
+}
 
-  if (inserted_ == 0) {
-    entry_ = v;
-    entry_level_ = node_level;
-    while (layers_.size() < node_level) layers_.emplace_back(data.size());
-    ++inserted_;
-    return;
-  }
+std::vector<std::vector<VectorId>> HnswIndex::FindNeighbors(
+    DistanceComputer& dc, core::VisitedTable* visited, VectorId v) const {
+  const core::Dataset& data = *data_;
+  diversify::Params prune;
+  prune.strategy = diversify::Strategy::kRnd;
+  const std::uint32_t top = std::min(level_[v], entry_level_);
 
-  diversify::Params upper_prune;
-  upper_prune.strategy = diversify::Strategy::kRnd;
-  upper_prune.max_degree = params_.m;
-  diversify::Params base_prune = upper_prune;
-  base_prune.max_degree = params_.m * 2;  // maxM0.
-
-  VectorId current = DescendToLayer(dc, data.Row(v), entry_level_,
-                                    std::min<std::size_t>(entry_level_,
-                                                          node_level));
-
-  // Grow the layer stack if this node's level exceeds the current top.
-  while (layers_.size() < node_level) layers_.emplace_back(data.size());
-
-  for (std::uint32_t l = std::min(node_level, entry_level_) + 1; l-- > 0;) {
-    Graph& layer_graph = l == 0 ? base_ : layers_[l - 1];
-    const diversify::Params& prune = l == 0 ? base_prune : upper_prune;
-    std::vector<Neighbor> candidates = core::BeamSearch(
+  VectorId current = DescendToLayer(dc, data.Row(v), entry_level_, top);
+  std::vector<std::vector<VectorId>> links(top + 1);
+  for (std::uint32_t l = top + 1; l-- > 0;) {
+    const Graph& layer_graph = l == 0 ? base_ : layers_[l - 1];
+    prune.max_degree = l == 0 ? params_.m * 2 : params_.m;  // maxM0.
+    const std::vector<Neighbor> candidates = core::BeamSearch(
         layer_graph, dc, data.Row(v), {current}, params_.ef_construction,
-        params_.ef_construction, visited_.get());
-    std::vector<Neighbor> kept =
+        params_.ef_construction, visited);
+    const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, prune);
     // The forward list at any layer is bounded by M (heuristic selects at
     // most M); reverse lists may grow to the layer cap before re-pruning.
-    if (kept.size() > params_.m) kept.resize(params_.m);
-    InstallBidirectional(dc, &layer_graph, v, kept, prune);
+    const std::size_t degree = std::min(kept.size(), params_.m);
+    for (std::size_t i = 0; i < degree; ++i) links[l].push_back(kept[i].id);
     if (!candidates.empty()) current = candidates.front().id;
   }
+  return links;
+}
 
-  if (node_level > entry_level_) {
-    entry_ = v;
-    entry_level_ = node_level;
+void HnswIndex::InsertBatch(std::size_t end,
+                            std::vector<BuildWorker>& workers) {
+  const auto begin = static_cast<VectorId>(inserted_);
+  const std::size_t size = end - begin;
+  std::uint32_t batch_top = 0;
+  for (VectorId v = begin; v < end; ++v) {
+    level_[v] = DrawLevel();
+    batch_top = std::max(batch_top, level_[v]);
   }
-  ++inserted_;
+  while (layers_.size() < batch_top) layers_.emplace_back(data_->size());
+
+  if (inserted_ > 0) {
+    // Search: every batch node reads only the graph frozen at batch start.
+    std::vector<std::vector<std::vector<VectorId>>> links(size);
+    core::ParallelFor(size, workers.size(), [&](std::size_t w, std::size_t i) {
+      BuildWorker& worker = workers[w];
+      if (worker.visited == nullptr) {
+        worker.owned = std::make_unique<core::VisitedTable>(data_->size());
+        worker.visited = worker.owned.get();
+      }
+      links[i] = FindNeighbors(worker.dc, worker.visited,
+                               static_cast<VectorId>(begin + i));
+    });
+
+    // Apply, one layer at a time. Batch nodes only link to nodes inserted
+    // before the batch, so the forward lists written here and the target
+    // lists updated below never overlap, and each target's list depends
+    // only on its sorted sources.
+    diversify::Params prune;
+    prune.strategy = diversify::Strategy::kRnd;
+    std::vector<std::pair<VectorId, VectorId>> reverse;  // (target, source)
+    std::vector<std::size_t> runs;
+    for (std::size_t l = 0; l <= layers_.size(); ++l) {
+      Graph& layer_graph = l == 0 ? base_ : layers_[l - 1];
+      reverse.clear();
+      for (std::size_t i = 0; i < size; ++i) {
+        if (links[i].size() <= l) continue;
+        const auto v = static_cast<VectorId>(begin + i);
+        for (VectorId u : links[i][l]) reverse.emplace_back(u, v);
+        layer_graph.SetNeighbors(v, std::move(links[i][l]));
+      }
+      // Every node's links span layers 0..top, so the first empty layer
+      // ends the batch.
+      if (reverse.empty()) break;
+      std::sort(reverse.begin(), reverse.end());
+      runs.clear();
+      for (std::size_t j = 0; j < reverse.size(); ++j) {
+        if (j == 0 || reverse[j].first != reverse[j - 1].first) {
+          runs.push_back(j);
+        }
+      }
+      runs.push_back(reverse.size());
+      prune.max_degree = l == 0 ? params_.m * 2 : params_.m;
+      core::ParallelFor(
+          runs.size() - 1, workers.size(), [&](std::size_t w, std::size_t r) {
+            for (std::size_t j = runs[r]; j < runs[r + 1]; ++j) {
+              AddReverseEdge(workers[w].dc, &layer_graph, reverse[j].first,
+                             reverse[j].second, prune);
+            }
+          });
+    }
+  }
+
+  // The entry point moves to the first batch node, in id order, that
+  // reaches the highest level above the current top.
+  for (VectorId v = begin; v < end; ++v) {
+    if (v == 0 || level_[v] > entry_level_) {
+      entry_ = v;
+      entry_level_ = level_[v];
+    }
+  }
+  inserted_ = end;
+}
+
+std::uint64_t HnswIndex::InsertRows(std::size_t count, std::size_t max_batch,
+                                    std::size_t threads) {
+  GASS_CHECK(threads >= 1);
+  std::vector<BuildWorker> workers;
+  workers.reserve(threads);
+  for (std::size_t w = 0; w < threads; ++w) workers.emplace_back(*data_);
+  workers[0].visited = visited_.get();
+  while (inserted_ < count) {
+    const std::size_t batch =
+        std::min(max_batch, std::max<std::size_t>(1, inserted_));
+    InsertBatch(std::min(count, inserted_ + batch), workers);
+  }
+  std::uint64_t distances = 0;
+  for (const BuildWorker& worker : workers) distances += worker.dc.count();
+  return distances;
 }
 
 BuildStats HnswIndex::Build(const core::Dataset& data) {
@@ -114,11 +186,15 @@ BuildStats HnswIndex::Build(const core::Dataset& data) {
 
 BuildStats HnswIndex::BuildPrefix(const core::Dataset& data,
                                   std::size_t count) {
+  return BuildPrefixOn(data, count, core::DefaultThreadCount());
+}
+
+BuildStats HnswIndex::BuildPrefixOn(const core::Dataset& data,
+                                    std::size_t count, std::size_t threads) {
   GASS_CHECK(!data.empty());
   GASS_CHECK(count <= data.size());
   data_ = &data;
   core::Timer timer;
-  DistanceComputer dc(data);
 
   base_ = Graph(data.size());
   layers_.clear();
@@ -127,11 +203,10 @@ BuildStats HnswIndex::BuildPrefix(const core::Dataset& data,
   level_rng_ = std::make_unique<core::Rng>(params_.seed);
   inserted_ = 0;
 
-  for (VectorId v = 0; v < count; ++v) InsertNode(dc, v);
-
   BuildStats stats;
+  stats.distance_computations =
+      InsertRows(count, std::max<std::size_t>(1, count / 50), threads);
   stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
   stats.index_bytes = IndexBytes();
   stats.peak_bytes = stats.index_bytes;
   return stats;
@@ -142,13 +217,10 @@ BuildStats HnswIndex::Extend(std::size_t new_count) {
   GASS_CHECK(new_count <= data_->size());
   GASS_CHECK(new_count >= inserted_);
   core::Timer timer;
-  DistanceComputer dc(*data_);
-  for (VectorId v = static_cast<VectorId>(inserted_); v < new_count; ++v) {
-    InsertNode(dc, v);
-  }
   BuildStats stats;
+  stats.distance_computations =
+      InsertRows(new_count, /*max_batch=*/1, /*threads=*/1);
   stats.elapsed_seconds = timer.Seconds();
-  stats.distance_computations = dc.count();
   stats.index_bytes = IndexBytes();
   stats.peak_bytes = stats.index_bytes;
   return stats;

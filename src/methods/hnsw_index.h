@@ -9,9 +9,20 @@
 // re-pruned with RND. Layer 0 allows 2·M neighbors (hnswlib's maxM0).
 // Queries descend the layers greedily and beam-search layer 0.
 //
-// Because construction is one-node-at-a-time, the index also supports
-// streaming growth: BuildPrefix() indexes the first rows of a collection
-// and Extend() inserts further rows later without a rebuild.
+// Construction inserts in deterministic batches (ParlayANN's prefix
+// doubling): node 0 alone, then batches of 1, 2, 4, ... nodes capped at
+// max(1, n/50). Every node of a batch searches the graph as it stood when
+// the batch began, in parallel; the batch's edges are then applied per
+// layer — forward lists first, then the reverse edges grouped by target
+// and appended in source-id order, each target re-pruned independently.
+// The graph therefore depends only on the data, the seed and the batch
+// schedule, never on the number of build threads (BuildPrefix uses
+// core::DefaultThreadCount()). Levels are drawn serially in id order, so
+// the level stream matches a one-at-a-time build.
+//
+// BuildPrefix() indexes the first rows of a collection; Extend() inserts
+// further rows later without a rebuild, one node at a time (a batch of
+// one), which is what the live update path and WAL replay rely on.
 
 #ifndef GASS_METHODS_HNSW_INDEX_H_
 #define GASS_METHODS_HNSW_INDEX_H_
@@ -75,6 +86,12 @@ class HnswIndex : public GraphIndex {
                             const core::Dataset& data) override;
 
  private:
+  friend class HnswIndexTestPeer;  // Varies the build thread count.
+
+  /// BuildPrefix on `threads` workers.
+  BuildStats BuildPrefixOn(const core::Dataset& data, std::size_t count,
+                           std::size_t threads);
+
   /// Greedy descent from the entry point down to (exclusive) layer
   /// `target` → returns the entry for layer `target`.
   core::VectorId DescendToLayer(core::DistanceComputer& dc,
@@ -86,7 +103,37 @@ class HnswIndex : public GraphIndex {
   SearchResult SearchWith(const float* query, const SearchParams& params,
                           core::VisitedTable* visited) const;
 
-  void InsertNode(core::DistanceComputer& dc, core::VectorId v);
+  /// Draws the next node's maximum layer (Eq. 1) from level_rng_.
+  std::uint32_t DrawLevel();
+
+  /// Chooses node `v`'s neighbors against the current graph without
+  /// changing it: the descent to v's level, then per layer from
+  /// min(level, entry level) down to 0 a beam search and the RND prune.
+  /// Returns the kept ids indexed by layer.
+  std::vector<std::vector<core::VectorId>> FindNeighbors(
+      core::DistanceComputer& dc, core::VisitedTable* visited,
+      core::VectorId v) const;
+
+  /// Inserts rows [inserted_, count) in batches of
+  /// min(max_batch, max(1, inserted_)) nodes across `threads` workers;
+  /// returns the distances computed.
+  std::uint64_t InsertRows(std::size_t count, std::size_t max_batch,
+                           std::size_t threads);
+
+  /// One build worker's scratch, on its own cache line: the distance
+  /// counter is written on every computation, and workers sharing a line
+  /// would contend for it.
+  /// Its visited table is made on first use, so a worker that a small
+  /// batch or an inline (nested) ParallelFor never reaches allocates none.
+  struct alignas(64) BuildWorker {
+    explicit BuildWorker(const core::Dataset& data) : dc(data) {}
+    core::DistanceComputer dc;
+    core::VisitedTable* visited = nullptr;
+    std::unique_ptr<core::VisitedTable> owned;
+  };
+
+  /// Inserts rows [inserted_, end) as one batch over the frozen graph.
+  void InsertBatch(std::size_t end, std::vector<BuildWorker>& workers);
 
   HnswParams params_;
   core::Graph base_;                 ///< Layer 0.

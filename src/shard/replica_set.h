@@ -2,10 +2,11 @@
 // replica-level primitives the replicated serve path is built from.
 //
 // Replication here leans on a property most systems have to pay quorums
-// for: every replica of shard s is constructed by the same factory with
-// the same derived seed (ShardedIndex::SubIndexSeed), so replicas are
-// bit-identical by construction — the same graph, the same neighbor
-// order, the same answers. That buys three things:
+// for: every replica of shard s is a snapshot copy of replica 0, which
+// the factory built with the shard's derived seed
+// (ShardedIndex::SubIndexSeed), so replicas are bit-identical by
+// construction — the same graph, the same neighbor order, the same
+// answers. That buys three things:
 //
 //   * Failover is free of consistency questions. Any replica answers any
 //     query identically, so health-aware routing (PickReplica) and

@@ -190,50 +190,65 @@ methods::BuildStats ShardedIndex::Build(const core::Dataset& data) {
   shard_build_seconds_.assign(k, 0.0);
   std::vector<double> materialize_seconds(k, 0.0);
   std::vector<double> replica_seconds(k * replicas, 0.0);
-  std::vector<methods::BuildStats> sub_stats(k * replicas);
+  std::vector<methods::BuildStats> sub_stats(k);
   {
     // Shard builds are independent, so they simply fan out on a pool; a
     // failing build (e.g. std::bad_alloc) surfaces here via Wait()'s
-    // exception propagation instead of taking the process down. Two
-    // phases: every shard's rows materialize first, then all k*R replica
-    // builds run concurrently (each replica of shard s uses the same
-    // derived seed, so they come out bit-identical).
+    // exception propagation instead of taking the process down. Three
+    // phases: every shard's rows materialize, then replica 0 of every
+    // shard builds, then replicas 1..R-1 copy replica 0's serialized state
+    // (the copy-from-peer path of RebuildReplica, far cheaper than a
+    // build). Every factory method round-trips its snapshot exactly, so
+    // the copies are bit-identical to replica 0; a failed copy (e.g. an
+    // unwritable TMPDIR) is fatal rather than silently rebuilt.
     core::ThreadPool pool(options_.build_threads);
+    const auto run = [&pool](std::function<void()> task) {
+      GASS_CHECK(pool.Submit(std::move(task)));
+    };
     for (std::size_t s = 0; s < k; ++s) {
-      const bool accepted =
-          pool.Submit([this, &data, &materialize_seconds, s] {
-            core::Timer mat_timer;
-            shard_data_[s] = partitioning_.ShardView(data, s).Materialize();
-            materialize_seconds[s] = mat_timer.Seconds();
-          });
-      GASS_CHECK(accepted);
+      run([this, &data, &materialize_seconds, s] {
+        core::Timer mat_timer;
+        shard_data_[s] = partitioning_.ShardView(data, s).Materialize();
+        materialize_seconds[s] = mat_timer.Seconds();
+      });
     }
     pool.Wait();
     for (std::size_t s = 0; s < k; ++s) {
-      for (std::size_t r = 0; r < replicas; ++r) {
-        const bool accepted = pool.Submit(
-            [this, &sub_stats, &replica_seconds, s, r, replicas] {
-              core::Timer replica_timer;
-              std::unique_ptr<methods::GraphIndex> index =
-                  methods::CreateIndex(options_.method,
-                                       SubIndexSeed(options_.seed, s));
-              sub_stats[s * replicas + r] = index->Build(shard_data_[s]);
-              shards_[s].Set(r, std::move(index));
-              replica_seconds[s * replicas + r] = replica_timer.Seconds();
-            });
-        GASS_CHECK(accepted);
+      run([this, &sub_stats, &replica_seconds, s, replicas] {
+        core::Timer replica_timer;
+        std::unique_ptr<methods::GraphIndex> index = methods::CreateIndex(
+            options_.method, SubIndexSeed(options_.seed, s));
+        sub_stats[s] = index->Build(shard_data_[s]);
+        shards_[s].Set(0, std::move(index));
+        replica_seconds[s * replicas] = replica_timer.Seconds();
+      });
+    }
+    pool.Wait();
+    for (std::size_t s = 0; s < k; ++s) {
+      for (std::size_t r = 1; r < replicas; ++r) {
+        run([this, &replica_seconds, s, r, replicas] {
+          core::Timer copy_timer;
+          std::unique_ptr<methods::GraphIndex> copy = methods::CreateIndex(
+              options_.method, SubIndexSeed(options_.seed, s));
+          const core::Status status = CopyReplica(s, 0, r, copy.get());
+          GASS_CHECK_MSG(status.ok(), "copying shard %zu into replica %zu: %s",
+                         s, r, status.ToString().c_str());
+          shards_[s].Set(r, std::move(copy));
+          replica_seconds[s * replicas + r] = copy_timer.Seconds();
+        });
       }
     }
     pool.Wait();
   }
-  // The shard's critical-path time: materialization plus its slowest
-  // replica build (replicas of one shard construct concurrently).
+  // The shard's critical-path time: materialization, replica 0's build,
+  // then its slowest copy (copies of one shard run concurrently).
   for (std::size_t s = 0; s < k; ++s) {
     double slowest = 0.0;
-    for (std::size_t r = 0; r < replicas; ++r) {
+    for (std::size_t r = 1; r < replicas; ++r) {
       slowest = std::max(slowest, replica_seconds[s * replicas + r]);
     }
-    shard_build_seconds_[s] = materialize_seconds[s] + slowest;
+    shard_build_seconds_[s] =
+        materialize_seconds[s] + replica_seconds[s * replicas] + slowest;
   }
   FinishInit(data);
 
@@ -981,9 +996,7 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
     }
     // Copy-from-healthy-peer: serialize a peer replica — preferring one
     // whose breaker is closed — and restore the quarantined slot from that
-    // spill. Save/LoadIndex round-trip the full checksummed snapshot
-    // format, so a corrupt peer fails validation here instead of
-    // propagating its corruption.
+    // spill.
     std::size_t peer = num_replicas_;
     for (std::size_t cand = 0; cand < num_replicas_; ++cand) {
       if (cand == r) continue;
@@ -993,23 +1006,35 @@ core::Status ShardedIndex::RebuildReplica(std::size_t s, std::size_t r) {
         break;
       }
     }
-    const char* tmp = std::getenv("TMPDIR");
-    const std::string spill =
-        std::string(tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp") +
-        "/gass.replica.spill." + std::to_string(::getpid()) + "." +
-        std::to_string(s) + "." + std::to_string(r);
-    core::Status status = shards_[s].Save(peer, spill);
-    if (status.ok()) {
-      status = methods::LoadIndex(fresh.get(), shard_data_[s], spill);
-    }
-    std::remove(spill.c_str());
-    GASS_RETURN_IF_ERROR(status);
+    GASS_RETURN_IF_ERROR(CopyReplica(s, peer, r, fresh.get()));
   }
   shards_[s].SwapIn(r, std::move(fresh));
   // Rebuilt but not yet trusted: generation bump + forced half-open probe;
   // only a passing probe re-closes the breaker.
   health_->OnReloaded(s, r);
   return core::Status::Ok();
+}
+
+core::Status ShardedIndex::CopyReplica(std::size_t s, std::size_t peer,
+                                       std::size_t r,
+                                       methods::GraphIndex* fresh) const {
+  // Save/LoadIndex round-trip the full checksummed snapshot format, so a
+  // corrupt peer fails validation here instead of propagating its
+  // corruption. The sequence number keeps spills of two indexes in one
+  // process (both building, say) from colliding.
+  static std::atomic<std::uint64_t> spill_sequence{0};
+  const char* tmp = std::getenv("TMPDIR");
+  const std::string spill =
+      std::string(tmp != nullptr && tmp[0] != '\0' ? tmp : "/tmp") +
+      "/gass.replica.spill." + std::to_string(::getpid()) + "." +
+      std::to_string(spill_sequence.fetch_add(1)) + "." + std::to_string(s) +
+      "." + std::to_string(r);
+  core::Status status = shards_[s].Save(peer, spill);
+  if (status.ok()) {
+    status = methods::LoadIndex(fresh, shard_data_[s], spill);
+  }
+  std::remove(spill.c_str());
+  return status;
 }
 
 ScrubReport ShardedIndex::ScrubReplicas(bool rebuild) {

@@ -72,15 +72,15 @@ struct ShardedIndexOptions {
   /// Base seed. Shard s's sub-index is built with seed ^ (mix * s), so
   /// shard 0 of a K=1 index uses exactly `seed` (bit-identity baseline).
   std::uint64_t seed = 42;
-  /// Replication factor R: copies of every shard's sub-index, all built by
-  /// the same factory with the same derived seed, so replicas are
-  /// bit-identical and any of them answers any query identically. Search
-  /// routes each probe to a health-chosen replica and fails over to peers
-  /// on failure; the anti-entropy scrubber (ScrubReplicas) compares
-  /// replica digests and rebuilds divergent copies online. 0 or 1 = no
-  /// replication (the exact pre-replication code path). A serving knob
-  /// like nprobe: excluded from the params fingerprint, so snapshots load
-  /// under any R.
+  /// Replication factor R: copies of every shard's sub-index. Build
+  /// constructs replica 0 and copies it into the others through a spill
+  /// snapshot, so replicas are bit-identical and any of them answers any
+  /// query identically. Search routes each probe to a health-chosen
+  /// replica and fails over to peers on failure; the anti-entropy
+  /// scrubber (ScrubReplicas) compares replica digests and rebuilds
+  /// divergent copies online. 0 or 1 = no replication (the exact
+  /// pre-replication code path). A serving knob like nprobe: excluded from
+  /// the params fingerprint, so snapshots load under any R.
   std::size_t replicas = 1;
   /// Per-shard circuit breaker (see shard/shard_health.h). The default
   /// trips a shard after 3 consecutive sub-search failures; threshold 0
@@ -295,6 +295,12 @@ class ShardedIndex : public methods::GraphIndex {
   /// creates one.
   std::unique_ptr<methods::SearchContext> AcquireContext() const;
   void ReleaseContext(std::unique_ptr<methods::SearchContext> ctx) const;
+  /// Restores `fresh` from replica `peer` of shard `s` through a spill
+  /// snapshot named after the destination slot `r` and a process-wide
+  /// sequence number: serialized under the peer's reader lock,
+  /// re-validated on load.
+  core::Status CopyReplica(std::size_t s, std::size_t peer, std::size_t r,
+                           methods::GraphIndex* fresh) const;
   /// Common post-partition state setup (context sizing, fan-out pool,
   /// probe counters).
   void FinishInit(const core::Dataset& data);

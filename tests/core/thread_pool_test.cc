@@ -194,6 +194,45 @@ TEST(ParallelForTest, SerialPathRethrowsToo) {
   EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
 }
 
+// Nested parallelism runs inline: a ParallelFor issued from a pool task or
+// from a ParallelFor worker must not spawn threads of its own (an HNSW
+// build inside a sharded build would otherwise oversubscribe the machine).
+TEST(ParallelForTest, NestedInPoolTaskRunsInline) {
+  ThreadPool pool(2);
+  std::atomic<int> foreign{0};
+  std::atomic<int> calls{0};
+  for (int t = 0; t < 4; ++t) {
+    ASSERT_TRUE(pool.Submit([&] {
+      const std::thread::id caller = std::this_thread::get_id();
+      ParallelFor(64, 4, [&](std::size_t worker, std::size_t) {
+        if (worker != 0 || std::this_thread::get_id() != caller) {
+          foreign.fetch_add(1);
+        }
+        calls.fetch_add(1);
+      });
+    }));
+  }
+  pool.Wait();
+  EXPECT_EQ(calls.load(), 4 * 64);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
+TEST(ParallelForTest, NestedInParallelForRunsInline) {
+  std::atomic<int> foreign{0};
+  std::atomic<int> calls{0};
+  ParallelFor(8, 4, [&](std::size_t, std::size_t) {
+    const std::thread::id caller = std::this_thread::get_id();
+    ParallelFor(32, 4, [&](std::size_t worker, std::size_t) {
+      if (worker != 0 || std::this_thread::get_id() != caller) {
+        foreign.fetch_add(1);
+      }
+      calls.fetch_add(1);
+    });
+  });
+  EXPECT_EQ(calls.load(), 8 * 32);
+  EXPECT_EQ(foreign.load(), 0);
+}
+
 TEST(DefaultThreadCountTest, Positive) {
   EXPECT_GE(DefaultThreadCount(), 1u);
 }

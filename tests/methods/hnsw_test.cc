@@ -1,12 +1,15 @@
 #include "methods/hnsw_index.h"
 
 #include <cstdio>
+#include <fstream>
+#include <iterator>
 #include <string>
 
 #include <gtest/gtest.h>
 
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
+#include "methods/fingerprint.h"
 #include "synth/generators.h"
 
 namespace gass::methods {
@@ -86,6 +89,69 @@ TEST(HnswTest, DeterministicAcrossRebuilds) {
   for (VectorId v = 0; v < data.size(); ++v) {
     EXPECT_EQ(a.graph().Neighbors(v), b.graph().Neighbors(v));
   }
+}
+
+std::string ReadFileBytes(const std::string& path) {
+  std::ifstream in(path, std::ios::binary);
+  return std::string(std::istreambuf_iterator<char>(in),
+                     std::istreambuf_iterator<char>());
+}
+
+}  // namespace
+
+// Builds on an explicit number of workers; BuildPrefix always uses
+// core::DefaultThreadCount().
+class HnswIndexTestPeer {
+ public:
+  static BuildStats BuildOn(HnswIndex* index, const Dataset& data,
+                            std::size_t threads) {
+    return index->BuildPrefixOn(data, data.size(), threads);
+  }
+};
+
+namespace {
+
+TEST(HnswTest, BatchBuildIdenticalAcrossThreadCounts) {
+  // n = 3000 gives batches up to 60 nodes, so every thread count splits
+  // the batch searches and the reverse-edge targets differently.
+  const Dataset data = synth::UniformHypercube(3000, 8, 31);
+  std::string reference;
+  std::uint64_t reference_dists = 0;
+  for (const std::size_t threads : {1, 2, 3, 4}) {
+    HnswParams params;
+    params.seed = 19;
+    HnswIndex index(params);
+    const BuildStats stats = HnswIndexTestPeer::BuildOn(&index, data, threads);
+    const std::string path = std::string(::testing::TempDir()) +
+                             "/hnsw_threads" + std::to_string(threads) +
+                             ".bin";
+    ASSERT_TRUE(SaveIndex(index, path).ok());
+    const std::string bytes = ReadFileBytes(path);
+    std::remove(path.c_str());
+    ASSERT_FALSE(bytes.empty());
+    if (threads == 1) {
+      reference = bytes;
+      reference_dists = stats.distance_computations;
+      continue;
+    }
+    EXPECT_EQ(bytes, reference) << threads << " build threads";
+    EXPECT_EQ(stats.distance_computations, reference_dists)
+        << threads << " build threads";
+  }
+}
+
+TEST(HnswTest, FingerprintPinsConstructionVersion) {
+  HnswParams params;
+  params.seed = 3;
+  const std::uint64_t fingerprint = HnswIndex(params).ParamsFingerprint();
+
+  // The one-node-at-a-time builder encoded (m, ef_construction, seed) with
+  // no version; its snapshots must not bind to a batch-built index.
+  io::Encoder serial;
+  serial.U64(params.m);
+  serial.U64(params.ef_construction);
+  serial.U64(params.seed);
+  EXPECT_NE(FingerprintBytes(serial), fingerprint);
 }
 
 TEST(HnswTest, SaveLoadRoundTripPreservesSearchExactly) {

@@ -1,6 +1,6 @@
 // Replicated shard serving contract (see docs/SHARDING.md "Replication"):
-//   - replicas of one shard are bit-identical by construction (same
-//     factory, same derived seed), so any replica answers any query
+//   - replicas of one shard are bit-identical by construction (snapshot
+//     copies of replica 0), so any replica answers any query
 //     identically and R > 1 never changes results, only availability;
 //   - replica selection is deterministic, health-aware power-of-two:
 //     closed beats half-open beats open, ties break toward fewer
@@ -25,6 +25,7 @@
 
 #include "../test_util.h"
 #include "core/graph.h"
+#include "methods/factory.h"
 #include "serve/executor.h"
 #include "serve/fault_injector.h"
 #include "serve/request.h"
@@ -88,17 +89,23 @@ void CorruptReplica(const ShardedIndex& index, std::size_t s, std::size_t r) {
   neighbors[0] = (neighbors[0] + 1) % static_cast<VectorId>(graph.size());
 }
 
+// Build copies replica 0 into the others through a spill snapshot, so
+// every factory method must round-trip into bit-identical replicas.
 TEST(ReplicaSetTest, ReplicasAreBitIdenticalByConstruction) {
   const Dataset data = gass::testing::SmallClustered(kN, kDim, 5);
-  ShardedIndex index(MakeOptions(2, 3));
-  index.Build(data);
-  ASSERT_EQ(index.num_replicas(), 3u);
-  for (std::size_t s = 0; s < index.num_shards(); ++s) {
-    const std::uint64_t digest0 = ReplicaDigest(index.replica(s, 0));
-    EXPECT_EQ(ReplicaDigest(index.shard(s)), digest0);
-    for (std::size_t r = 1; r < index.num_replicas(); ++r) {
-      EXPECT_EQ(ReplicaDigest(index.replica(s, r)), digest0)
-          << "shard " << s << " replica " << r;
+  for (const std::string& method : methods::AllMethodNames()) {
+    ShardedIndexOptions options = MakeOptions(2, 3);
+    options.method = method;
+    ShardedIndex index(options);
+    index.Build(data);
+    ASSERT_EQ(index.num_replicas(), 3u);
+    for (std::size_t s = 0; s < index.num_shards(); ++s) {
+      const std::uint64_t digest0 = ReplicaDigest(index.replica(s, 0));
+      EXPECT_EQ(ReplicaDigest(index.shard(s)), digest0) << method;
+      for (std::size_t r = 1; r < index.num_replicas(); ++r) {
+        EXPECT_EQ(ReplicaDigest(index.replica(s, r)), digest0)
+            << method << " shard " << s << " replica " << r;
+      }
     }
   }
 }
