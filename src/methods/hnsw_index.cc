@@ -221,8 +221,6 @@ BuildStats HnswIndex::Extend(std::size_t new_count) {
   stats.distance_computations =
       InsertRows(new_count, /*max_batch=*/1, /*threads=*/1);
   stats.elapsed_seconds = timer.Seconds();
-  stats.index_bytes = IndexBytes();
-  stats.peak_bytes = stats.index_bytes;
   return stats;
 }
 

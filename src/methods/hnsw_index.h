@@ -56,7 +56,9 @@ class HnswIndex : public GraphIndex {
   /// inserted (rows beyond `count` are simply not indexed yet).
   BuildStats BuildPrefix(const core::Dataset& data, std::size_t count);
 
-  /// Inserts rows [inserted_count(), new_count) into the index.
+  /// Inserts rows [inserted_count(), new_count) into the index. The stats
+  /// carry distances and time only: index_bytes would cost a walk over
+  /// every adjacency list per call, which live inserts cannot afford.
   BuildStats Extend(std::size_t new_count);
 
   SearchResult Search(const float* query, const SearchParams& params) override;

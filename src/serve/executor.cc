@@ -2,11 +2,62 @@
 
 #include <atomic>
 
-#include "core/deadline.h"
 #include "core/macros.h"
 #include "methods/search_params.h"
 
 namespace gass::serve {
+
+SearchResponse Execute(const methods::GraphIndex& index, const float* query,
+                       methods::SearchContext* ctx, std::uint64_t seed,
+                       std::uint64_t id, const methods::SearchParams& params,
+                       const core::Deadline& deadline, obs::QueryTrace* trace,
+                       ServeMetrics& metrics) {
+  obs::StageTimer session_timer(trace, obs::Stage::kSession);
+  // Reseed per query: results depend only on (seed, admission id), never
+  // on which worker ran the query or in what order.
+  ctx->rng = core::Rng(seed ^ (0x9E3779B97F4A7C15ULL * (id + 1)));
+  methods::SearchParams query_params = methods::WithDeadline(
+      params, deadline.unlimited() ? nullptr : &deadline);
+  query_params.admission_id = id;
+  query_params.trace = trace;
+  session_timer.Stop();
+
+  const std::size_t spans_before = trace != nullptr ? trace->size() : 0;
+  obs::StageTimer search_timer(trace, obs::Stage::kSearch);
+  SearchResponse response(index.Search(query, query_params, ctx));
+  if (trace != nullptr && trace->size() > spans_before) {
+    // The index recorded its own stage breakdown (sharded fan-out); an
+    // enclosing span would double-count it in the stage histograms.
+    search_timer.Cancel();
+  } else {
+    search_timer.SetStats(response.stats);
+    search_timer.Stop();
+  }
+  response.admission_id = id;
+  response.expired = response.stats.deadline_expiries > 0;
+  response.degrade_step = params.degrade_step;
+  response.outcome = response.expired        ? methods::ServeOutcome::kExpired
+                     : params.degrade_step > 0 ? methods::ServeOutcome::kDegraded
+                                               : methods::ServeOutcome::kFull;
+  metrics.RecordQuery(response.stats, response.expired, response.partial);
+  return response;
+}
+
+void FinishTrace(obs::QueryTrace* trace, obs::Tracer* owner,
+                 ServeMetrics& metrics) {
+  if (trace == nullptr) return;
+  if (owner != nullptr) {
+    owner->FinishTrace(trace);
+  } else {
+    trace->Finish();
+  }
+  // Traced queries feed the per-stage latency histograms; the untraced
+  // majority never touches them.
+  for (std::size_t i = 0; i < trace->size(); ++i) {
+    const obs::TraceSpan& span = trace->span(i);
+    metrics.RecordStageNanos(span.stage, span.duration_ns);
+  }
+}
 
 QueryExecutor::QueryExecutor(const methods::GraphIndex& index,
                              const ExecutorOptions& options)
@@ -46,17 +97,13 @@ BatchResult QueryExecutor::SearchBatch(
                                    : request.admission_id;
       // Trace attachment: the request's own sink wins over the sampler.
       obs::QueryTrace* trace = request.trace;
-      bool owned_trace = false;
+      obs::Tracer* owner = nullptr;
       if (trace != nullptr) {
         trace->Begin(id);
       } else {
         trace = tracer_.StartTrace(id);
-        owned_trace = trace != nullptr;
+        owner = &tracer_;
       }
-      obs::StageTimer session_timer(trace, obs::Stage::kSession);
-      // Reseed per query: results depend only on (seed, admission id),
-      // never on which worker ran the query or in what order.
-      lease->rng = core::Rng(options_.seed ^ (0x9E3779B97F4A7C15ULL * (id + 1)));
       // Effective deadline: the earliest of the request deadline, the
       // caller's params.deadline, and the executor's per-query timeout
       // (see the header contract).
@@ -70,48 +117,11 @@ BatchResult QueryExecutor::SearchBatch(
         deadline = core::Deadline::Earliest(
             deadline, core::Deadline::After(options_.timeout_seconds));
       }
-      methods::SearchParams query_params = methods::WithDeadline(
-          request.params, deadline.unlimited() ? nullptr : &deadline);
-      query_params.admission_id = id;
-      query_params.trace = trace;
-      session_timer.Stop();
-
-      const std::size_t spans_before = trace != nullptr ? trace->size() : 0;
-      obs::StageTimer search_timer(trace, obs::Stage::kSearch);
-      SearchResponse response(
-          index_.Search(request.query, query_params, lease.get()));
-      if (trace != nullptr && trace->size() > spans_before) {
-        // The index recorded its own stage breakdown (sharded fan-out); an
-        // enclosing span would double-count it.
-        search_timer.Cancel();
-      } else {
-        search_timer.SetStats(response.stats);
-        search_timer.Stop();
-      }
-      response.admission_id = id;
-      response.expired = response.stats.deadline_expiries > 0;
-      response.shards_ok = response.stats.shards_probed;
-      response.shards_failed = response.stats.shards_failed;
-      response.shards_hedged = response.stats.shards_hedged;
-      response.replica_failovers = response.stats.replica_failovers;
-      response.outcome = response.expired ? methods::ServeOutcome::kExpired
-                         : request.params.degrade_step > 0
-                             ? methods::ServeOutcome::kDegraded
-                             : methods::ServeOutcome::kFull;
-      response.degrade_step = request.params.degrade_step;
-      metrics_.RecordQuery(response.stats, response.expired, response.partial);
-      if (trace != nullptr) {
-        if (owned_trace) {
-          tracer_.FinishTrace(trace);
-        } else {
-          trace->Finish();
-        }
-        for (std::size_t i = 0; i < trace->size(); ++i) {
-          const obs::TraceSpan& span = trace->span(i);
-          metrics_.RecordStageNanos(span.stage, span.duration_ns);
-        }
-        response.trace = trace;
-      }
+      SearchResponse response =
+          Execute(index_, request.query, lease.get(), options_.seed, id,
+                  request.params, deadline, trace, metrics_);
+      FinishTrace(trace, owner, metrics_);
+      response.trace = trace;
       batch.results[q] = std::move(response);
     }
   };

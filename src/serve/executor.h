@@ -1,4 +1,12 @@
-// Batched concurrent query execution over one shared, read-only index.
+// The serve tier's one request path (serve::Execute) and the batched
+// executor built on it.
+//
+// Execute runs one query against one index: it reseeds the context RNG
+// from (seed, admission id), wires the deadline and trace into the
+// SearchParams, records the `search` span, classifies the outcome and
+// feeds ServeMetrics. QueryExecutor (closed loop, batches) and Frontend
+// (open loop, admission queue) differ only in how they pick the id,
+// deadline and trace before calling it.
 //
 // The executor owns a core::ThreadPool and a SearchSessionPool; callers
 // hand it a batch of queries and get back one SearchResult per query. Every
@@ -15,6 +23,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/deadline.h"
 #include "core/thread_pool.h"
 #include "methods/graph_index.h"
 #include "obs/trace.h"
@@ -23,6 +32,28 @@
 #include "serve/search_session.h"
 
 namespace gass::serve {
+
+/// Runs one query against `index` on the leased context `ctx`. The
+/// context RNG is reseeded from (seed, id), so the answer depends only on
+/// those two values. `deadline` replaces params.deadline (unlimited = none)
+/// and must outlive the call; `trace` (null = untraced) must already be
+/// begun. Records a `session` span and a `search` span, the latter
+/// cancelled when the index records its own stage breakdown (sharded
+/// fan-out). The outcome is kExpired when the deadline cut the search
+/// short, else kDegraded for params.degrade_step > 0, else kFull. The
+/// query is RecordQuery()'d into `metrics`; the trace is left open for
+/// the caller (see FinishTrace).
+SearchResponse Execute(const methods::GraphIndex& index, const float* query,
+                       methods::SearchContext* ctx, std::uint64_t seed,
+                       std::uint64_t id, const methods::SearchParams& params,
+                       const core::Deadline& deadline, obs::QueryTrace* trace,
+                       ServeMetrics& metrics);
+
+/// Finishes `trace` (null = no-op) and feeds its spans into the per-stage
+/// latency histograms of `metrics`. A tracer-owned slot is retired through
+/// `owner`; a caller-owned trace (owner null) is only stamped.
+void FinishTrace(obs::QueryTrace* trace, obs::Tracer* owner,
+                 ServeMetrics& metrics);
 
 struct ExecutorOptions {
   /// Worker threads; 0 = hardware concurrency.

@@ -3,9 +3,8 @@
 #include <shared_mutex>
 
 #include "core/macros.h"
-#include "core/rng.h"
 #include "core/thread_pool.h"
-#include "methods/search_params.h"
+#include "serve/executor.h"
 
 namespace gass::serve {
 
@@ -54,11 +53,8 @@ Frontend::~Frontend() {
 
 void Frontend::Reject(Task* task) {
   metrics_.RecordShed();
+  FinishTrace(task->trace, task->trace_owner, metrics_);
   if (task->kind != TaskKind::kSearch) {
-    if (task->trace != nullptr && task->owned_trace) {
-      tracer_.FinishTrace(task->trace);
-      task->trace = nullptr;
-    }
     UpdateResult result;
     result.status = core::Status::Error(
         "update rejected: admission queue full or frontend stopping");
@@ -68,25 +64,8 @@ void Frontend::Reject(Task* task) {
   SearchResponse response;
   response.outcome = methods::ServeOutcome::kRejected;
   response.admission_id = task->id;
-  FinishTaskTrace(task, &response);
+  response.trace = task->trace;
   task->promise.set_value(std::move(response));
-}
-
-void Frontend::FinishTaskTrace(Task* task, SearchResponse* response) {
-  if (task->trace == nullptr) return;
-  if (task->owned_trace) {
-    tracer_.FinishTrace(task->trace);
-  } else {
-    task->trace->Finish();
-  }
-  // Traced queries feed the per-stage latency histograms; the untraced
-  // majority never touches them.
-  for (std::size_t i = 0; i < task->trace->size(); ++i) {
-    const obs::TraceSpan& span = task->trace->span(i);
-    metrics_.RecordStageNanos(span.stage, span.duration_ns);
-  }
-  response->trace = task->trace;
-  task->trace = nullptr;
 }
 
 bool Frontend::PredictedLate(const core::Deadline& deadline) const {
@@ -138,9 +117,7 @@ Frontend::Ticket Frontend::Submit(const SearchRequest& request) {
   Task task;
   task.query = request.query;
   task.dim = request.dim;
-  task.params = request.params;
-  task.params.deadline = nullptr;  // The frontend owns the deadline.
-  task.params.trace = nullptr;     // Likewise the trace attachment.
+  task.params = request.params;  // Execute overrides deadline and trace.
   task.deadline = request.has_deadline
                       ? request.deadline
                       : (options_.deadline_seconds > 0
@@ -156,10 +133,9 @@ Frontend::Ticket Frontend::Submit(const SearchRequest& request) {
   if (request.trace != nullptr) {
     task.trace = request.trace;
     task.trace->Begin(task.id);
-    task.owned_trace = false;
   } else {
     task.trace = tracer_.StartTrace(task.id);
-    task.owned_trace = task.trace != nullptr;
+    task.trace_owner = &tracer_;
   }
   Ticket ticket = task.promise.get_future();
 
@@ -211,7 +187,7 @@ Frontend::UpdateTicket Frontend::SubmitUpdate(Task task) {
   // Updates ride the query trace sampler: a sampled update records its
   // queue wait plus the updater's wal_append / apply spans.
   task.trace = tracer_.StartTrace(task.id);
-  task.owned_trace = task.trace != nullptr;
+  task.trace_owner = &tracer_;
   UpdateTicket ticket = task.update_promise.get_future();
   // No deadline shedding: an update is durability work, not a query whose
   // value decays — the only admission control is the queue bound.
@@ -288,23 +264,9 @@ void Frontend::WorkerLoop() {
       Reject(&task);
     } else {
       if (faults_ != nullptr) faults_->OnExecute(task.id);
-      obs::StageTimer session_timer(task.trace, obs::Stage::kSession);
       SearchSessionPool::Lease lease = sessions_.Acquire();
-      // Same determinism contract as QueryExecutor: results depend only on
-      // (seed, admission id), never on which worker ran the query.
-      lease->rng =
-          core::Rng(options_.seed ^ (0x9E3779B97F4A7C15ULL * (task.id + 1)));
       methods::SearchParams query_params = task.params;
-      query_params.admission_id = task.id;
       query_params.degrade_step = static_cast<std::uint32_t>(step);
-      query_params.deadline =
-          task.deadline.unlimited() ? nullptr : &task.deadline;
-      query_params.trace = task.trace;
-      session_timer.Stop();
-
-      const std::size_t spans_before =
-          task.trace != nullptr ? task.trace->size() : 0;
-      obs::StageTimer search_timer(task.trace, obs::Stage::kSearch);
       // Live mode: hold the updater's search lock shared for the duration
       // of the query (in-memory applies take it exclusive, briefly) and
       // filter its tombstones at result emission.
@@ -314,32 +276,14 @@ void Frontend::WorkerLoop() {
             updater_->search_mutex());
         query_params.tombstones = &updater_->tombstones();
       }
-      SearchResponse response(
-          index_.Search(task.query, query_params, lease.get()));
+      SearchResponse response =
+          Execute(index_, task.query, lease.get(), options_.seed, task.id,
+                  query_params, task.deadline, task.trace, metrics_);
       if (live_guard.owns_lock()) live_guard.unlock();
-      if (task.trace != nullptr && task.trace->size() > spans_before) {
-        // A trace-aware index (shard::ShardedIndex) already recorded its
-        // own finer-grained breakdown; an enclosing search span would
-        // double-count those nanoseconds in the stage histograms.
-        search_timer.Cancel();
-      } else {
-        search_timer.SetStats(response.stats);
-        search_timer.Stop();
-      }
-      response.admission_id = task.id;
-      response.expired = response.stats.deadline_expiries > 0;
-      response.shards_ok = response.stats.shards_probed;
-      response.shards_failed = response.stats.shards_failed;
-      response.shards_hedged = response.stats.shards_hedged;
-      response.replica_failovers = response.stats.replica_failovers;
-      response.degrade_step = static_cast<std::uint32_t>(step);
-      response.outcome = response.expired ? methods::ServeOutcome::kExpired
-                         : step > 0       ? methods::ServeOutcome::kDegraded
-                                          : methods::ServeOutcome::kFull;
-      metrics_.RecordQuery(response.stats, response.expired, response.partial);
       metrics_.RecordDegradeStep(
           step, response.outcome == methods::ServeOutcome::kDegraded);
-      FinishTaskTrace(&task, &response);
+      FinishTrace(task.trace, task.trace_owner, metrics_);
+      response.trace = task.trace;
       task.promise.set_value(std::move(response));
     }
 
@@ -356,18 +300,7 @@ void Frontend::ServeUpdate(Task* task) {
       task->kind == TaskKind::kInsert
           ? updater_->Insert(task->update_vector.data(), task->trace)
           : updater_->Delete(task->delete_id, task->trace);
-  if (task->trace != nullptr) {
-    if (task->owned_trace) {
-      tracer_.FinishTrace(task->trace);
-    } else {
-      task->trace->Finish();
-    }
-    for (std::size_t i = 0; i < task->trace->size(); ++i) {
-      const obs::TraceSpan& span = task->trace->span(i);
-      metrics_.RecordStageNanos(span.stage, span.duration_ns);
-    }
-    task->trace = nullptr;
-  }
+  FinishTrace(task->trace, task->trace_owner, metrics_);
   task->update_promise.set_value(std::move(result));
 }
 

@@ -189,10 +189,10 @@ class Frontend {
     methods::SearchParams params;
     core::Deadline deadline;
     std::uint64_t id = 0;
-    /// Trace sink for this query (null = untraced); owned_trace marks a
-    /// tracer slot that must be retired via FinishTrace.
+    /// Trace sink for this query (null = untraced), and the tracer its
+    /// slot is retired to (null = caller-owned; see serve::FinishTrace).
     obs::QueryTrace* trace = nullptr;
-    bool owned_trace = false;
+    obs::Tracer* trace_owner = nullptr;
     std::promise<SearchResponse> promise;
     /// Update-task payload: the copied vector (inserts) or target id
     /// (deletes), resolved through update_promise instead of promise.
@@ -211,10 +211,6 @@ class Frontend {
   UpdateTicket SubmitUpdate(Task task);
   /// Fulfills a ticket as shed (kRejected) and records the metrics.
   void Reject(Task* task);
-  /// Finishes the task's trace (if any): stamps the total, feeds the
-  /// per-stage histograms, retires tracer-owned slots, and points the
-  /// response at the trace.
-  void FinishTaskTrace(Task* task, SearchResponse* response);
   /// True when the remaining budget cannot cover the observed p50 service
   /// time (and prediction is active).
   bool PredictedLate(const core::Deadline& deadline) const;

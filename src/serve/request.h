@@ -1,17 +1,16 @@
-// The unified serve-path request/response pair.
+// The serve-path request/response pair.
 //
-// One query used to travel through three different signatures — the
-// executor's (queries, n, dim, params), the frontend's (query, dim,
-// params, deadline), and the index's (query, params, ctx) — which left no
-// place to attach per-query concerns like a trace handle or a stable
-// admission id. SearchRequest is that place: everything the serving tier
-// needs to know about one query, in one struct, with the old signatures
-// kept as thin forwarding overloads.
+// SearchRequest carries everything the serving tier needs to know about
+// one query: the vector, its SearchParams, an optional deadline, a stable
+// admission id (RNG reseeding and trace sampling key) and an optional
+// caller-owned trace sink. QueryExecutor and Frontend both resolve a
+// request to (id, deadline, trace) and hand it to serve::Execute
+// (serve/executor.h), the one request path.
 //
 // SearchResponse extends methods::SearchResult (publicly, so existing
 // callers that slice into a SearchResult or read .outcome / .neighbors
 // through the base keep compiling) with the admission id the query ran
-// under and the trace captured for it, if any.
+// under, the trace captured for it, if any, and the fan-out counters.
 
 #ifndef GASS_SERVE_REQUEST_H_
 #define GASS_SERVE_REQUEST_H_
@@ -38,8 +37,10 @@ struct SearchRequest {
   /// Per-query deadline, honored only when `has_deadline` is true (a
   /// default-constructed Deadline means "explicitly unlimited", which is
   /// different from "use the server's default budget" — the flag keeps the
-  /// two apart). params.deadline is ignored by request-based entry points;
-  /// the serving tier owns deadline storage.
+  /// two apart). Each caller of serve::Execute resolves the effective
+  /// deadline itself: the frontend ignores params.deadline (a deadline must
+  /// survive the queue wait), the executor takes the earliest of the three
+  /// (see QueryExecutor::SearchBatch).
   core::Deadline deadline;
   bool has_deadline = false;
   /// Identity for RNG reseeding and trace sampling; kAutoAdmissionId lets
@@ -53,8 +54,13 @@ struct SearchRequest {
 
 struct SearchResponse : methods::SearchResult {
   SearchResponse() = default;
+  /// Adopts `result` and copies its fan-out counters out of the stats.
   explicit SearchResponse(methods::SearchResult&& result)
-      : methods::SearchResult(std::move(result)) {}
+      : methods::SearchResult(std::move(result)),
+        shards_ok(stats.shards_probed),
+        shards_failed(stats.shards_failed),
+        shards_hedged(stats.shards_hedged),
+        replica_failovers(stats.replica_failovers) {}
 
   /// The admission id the query actually ran under (auto ids resolved).
   std::uint64_t admission_id = 0;
@@ -65,8 +71,8 @@ struct SearchResponse : methods::SearchResult {
   /// merged into `neighbors`, shards that contributed nothing because they
   /// failed or were breaker-skipped (fault-caused — pairs with the
   /// inherited `partial` flag, as deadline-caused misses pair with
-  /// `expired`), and hedged backup sub-searches launched. Filled from
-  /// stats.shards_* by the serving tier / shard::ShardedIndex.
+  /// `expired`), and hedged backup sub-searches launched. Copied from
+  /// stats.shards_* on construction from a SearchResult.
   std::uint64_t shards_ok = 0;
   std::uint64_t shards_failed = 0;
   std::uint64_t shards_hedged = 0;

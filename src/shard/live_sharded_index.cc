@@ -7,6 +7,7 @@
 #include "core/macros.h"
 #include "io/serialize.h"
 #include "methods/fingerprint.h"
+#include "shard/route.h"
 
 namespace gass::shard {
 
@@ -26,8 +27,7 @@ void EncodeOptions(io::Encoder* enc, const LiveShardedOptions& options) {
 }  // namespace
 
 LiveShardedIndex::LiveShardedIndex(const LiveShardedOptions& options)
-    : options_(options),
-      num_replicas_(options.replicas == 0 ? 1 : options.replicas) {
+    : options_(options) {
   GASS_CHECK_MSG(options.num_shards >= 1, "need at least one shard");
 }
 
@@ -68,7 +68,7 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
       base_n_ + options_.num_shards * options_.reserve_per_shard, kNoOwner);
 
   for (std::size_t s = 0; s < options_.num_shards; ++s) {
-    auto shard = std::make_unique<Shard>(options_.hnsw, num_replicas_);
+    auto shard = std::make_unique<Shard>(options_.hnsw);
     shard->global_ids = partitioning.shard_ids[s];
     shard->base_rows = shard->global_ids.size();
     shard->arena = core::Dataset(
@@ -79,14 +79,10 @@ methods::BuildStats LiveShardedIndex::Build(const core::Dataset& data) {
       std::memcpy(shard->arena.MutableRow(static_cast<core::VectorId>(local)),
                   data.Row(gid), dim_ * sizeof(float));
     }
-    // Every replica builds over the same arena with the same params, so
-    // the graphs come out bit-identical.
-    for (auto& replica : shard->replicas) {
-      const methods::BuildStats sub =
-          replica->BuildPrefix(shard->arena, shard->base_rows);
-      stats.distance_computations += sub.distance_computations;
-      stats.peak_bytes = std::max(stats.peak_bytes, sub.peak_bytes);
-    }
+    const methods::BuildStats sub =
+        shard->index.BuildPrefix(shard->arena, shard->base_rows);
+    stats.distance_computations += sub.distance_computations;
+    stats.peak_bytes = std::max(stats.peak_bytes, sub.peak_bytes);
     shards_.push_back(std::move(shard));
   }
   next_id_ = base_n_;
@@ -108,9 +104,7 @@ std::size_t LiveShardedIndex::IndexBytes() const {
   std::size_t total = centroids_.SizeBytes() +
                       owner_.size() * sizeof(std::uint32_t);
   for (const auto& shard : shards_) {
-    for (const auto& replica : shard->replicas) {
-      total += replica->IndexBytes();
-    }
+    total += shard->index.IndexBytes();
     total += shard->global_ids.size() * sizeof(core::VectorId);
   }
   return total;
@@ -140,19 +134,11 @@ methods::SearchResult LiveShardedIndex::Search(
   core::Timer timer;
   methods::SearchResult merged;
   merged.degrade_step = params.degrade_step;
-  const std::size_t k_shards = shards_.size();
-
-  // Rank centroids by distance to the query (one computation each).
-  std::vector<std::pair<float, std::uint32_t>> ranked(k_shards);
-  for (std::size_t s = 0; s < k_shards; ++s) {
-    ranked[s] = {core::L2Sq(query, centroids_.Row(
-                                       static_cast<core::VectorId>(s)),
-                            dim_),
-                 static_cast<std::uint32_t>(s)};
-  }
-  std::sort(ranked.begin(), ranked.end());
-  const std::size_t nprobe =
-      options_.nprobe == 0 ? k_shards : std::min(options_.nprobe, k_shards);
+  const std::vector<std::pair<float, std::uint32_t>> ranked =
+      RankShards(query, centroids_);
+  const std::size_t nprobe = options_.nprobe == 0
+                                 ? ranked.size()
+                                 : std::min(options_.nprobe, ranked.size());
 
   // Sub-searches run on shard-LOCAL ids: global-keyed tombstones and the
   // caller's trace must not leak into them (same contract as
@@ -161,42 +147,22 @@ methods::SearchResult LiveShardedIndex::Search(
   sub_params.trace = nullptr;
   sub_params.tombstones = nullptr;
 
-  const core::TombstoneSet* tombstones = params.tombstones;
-  const bool filter = tombstones != nullptr && !tombstones->empty();
-  std::vector<core::Neighbor> all;
+  MergeTopK merge(params.k, params.tombstones);
   bool expired = false;
-  // Replica rotation keyed on the admission id: deterministic (replayed
-  // workloads probe the same replicas), spreads load across the
-  // bit-identical copies, and consumes no RNG draws, so R = 1 results are
-  // byte-for-byte what the unreplicated index returned.
-  const std::size_t rep =
-      num_replicas_ == 1
-          ? 0
-          : static_cast<std::size_t>(params.admission_id % num_replicas_);
   for (std::size_t r = 0; r < nprobe; ++r) {
-    const std::uint32_t s = ranked[r].second;
-    const Shard& shard = *shards_[s];
-    const methods::HnswIndex& replica = *shard.replicas[rep];
-    if (replica.inserted_count() == 0) continue;
-    methods::SearchResult sub = replica.Search(query, sub_params, ctx);
+    const Shard& shard = *shards_[ranked[r].second];
+    if (shard.index.inserted_count() == 0) continue;
+    methods::SearchResult sub = shard.index.Search(query, sub_params, ctx);
     merged.stats.distance_computations += sub.stats.distance_computations;
     merged.stats.hops += sub.stats.hops;
     merged.stats.prefetches += sub.stats.prefetches;
     if (sub.stats.deadline_expiries > 0) expired = true;
-    for (const core::Neighbor& nb : sub.neighbors) {
-      const core::VectorId gid = shard.global_ids[nb.id];
-      if (filter && tombstones->Contains(gid)) continue;
-      all.emplace_back(gid, nb.distance);
-    }
+    merge.Add(std::move(sub.neighbors), shard.global_ids);
     ++merged.stats.shards_probed;
   }
-  // Neighbor's operator< is (distance, id): cross-shard ties resolve to
-  // the lower global id, independent of probe order.
-  std::sort(all.begin(), all.end());
-  if (all.size() > params.k) all.resize(params.k);
-  merged.neighbors = std::move(all);
+  merged.neighbors = merge.Finish();
 
-  merged.stats.distance_computations += k_shards;  // Centroid ranking.
+  merged.stats.distance_computations += ranked.size();  // Centroid ranking.
   merged.expired = expired;
   merged.stats.deadline_expiries = expired ? 1 : 0;
   merged.stats.elapsed_seconds = timer.Seconds();
@@ -231,7 +197,7 @@ std::uint32_t LiveShardedIndex::RouteDelete(core::VectorId id) const {
 
 bool LiveShardedIndex::CanInsert(std::uint32_t stream) const {
   const Shard& shard = *shards_[stream];
-  return shard.primary().inserted_count() < shard.arena.size();
+  return shard.index.inserted_count() < shard.arena.size();
 }
 
 bool LiveShardedIndex::Exists(core::VectorId id) const {
@@ -244,19 +210,14 @@ core::Status LiveShardedIndex::ApplyInsert(std::uint32_t stream,
   GASS_CHECK_MSG(id == next_id_, "non-dense live insert id %u (next is %zu)",
                  id, next_id_);
   Shard& shard = *shards_[stream];
-  const std::size_t local = shard.primary().inserted_count();
+  const std::size_t local = shard.index.inserted_count();
   GASS_CHECK_MSG(local < shard.arena.size(),
                  "live insert beyond shard %u arena capacity", stream);
   std::memcpy(shard.arena.MutableRow(static_cast<core::VectorId>(local)), vec,
               dim_ * sizeof(float));
   shard.global_ids.push_back(id);
   owner_[id] = stream;
-  // The row lands in the shared arena once; the graph insert applies to
-  // every replica in the same sequence order (the WAL logged it once per
-  // shard), keeping the replicas bit-identical through live growth.
-  for (auto& replica : shard.replicas) {
-    replica->Extend(local + 1);
-  }
+  shard.index.Extend(local + 1);
   next_id_ = id + 1;
   return core::Status::Ok();
 }
@@ -278,7 +239,7 @@ core::Status LiveShardedIndex::SaveSections(io::SnapshotWriter* writer) const {
   for (std::size_t s = 0; s < shards_.size(); ++s) {
     const Shard& shard = *shards_[s];
     const std::string prefix = "live.s" + std::to_string(s) + ".";
-    const std::size_t inserted = shard.primary().inserted_count();
+    const std::size_t inserted = shard.index.inserted_count();
 
     io::Encoder smeta;
     smeta.U64(shard.arena.size());
@@ -305,10 +266,7 @@ core::Status LiveShardedIndex::SaveSections(io::SnapshotWriter* writer) const {
     GASS_RETURN_IF_ERROR(writer->AddSection(prefix + "vectors",
                                             std::move(vectors)));
 
-    // Replicas are bit-identical: the checkpoint stores exactly one graph
-    // per shard (replica 0), keeping the on-disk format replica-oblivious.
-    GASS_RETURN_IF_ERROR(
-        shard.primary().SaveSections(writer, prefix + "index."));
+    GASS_RETURN_IF_ERROR(shard.index.SaveSections(writer, prefix + "index."));
   }
   return core::Status::Ok();
 }
@@ -372,7 +330,7 @@ core::Status LiveShardedIndex::LoadSections(const io::SnapshotReader& reader) {
     dec.Check(gids.size() == inserted, "shard id list size mismatch");
     if (!dec.ok()) return dec.status();
 
-    auto shard = std::make_unique<Shard>(options_.hnsw, num_replicas_);
+    auto shard = std::make_unique<Shard>(options_.hnsw);
     shard->base_rows = base_rows;
     shard->arena = core::Dataset(capacity, dim_);
     shard->global_ids.reserve(inserted);
@@ -405,18 +363,13 @@ core::Status LiveShardedIndex::LoadSections(const io::SnapshotReader& reader) {
     }
     if (!dec.ExpectEnd()) return dec.status();
 
-    // Every replica attaches from the same checkpoint sections (the graph
-    // is stored once per shard; replicas are bit-identical), each getting
-    // its own in-memory copy.
-    for (auto& replica : shard->replicas) {
-      GASS_RETURN_IF_ERROR(
-          replica->LoadSections(reader, prefix + "index.", shard->arena));
-      if (replica->inserted_count() != inserted) {
-        return core::Status::Corruption(
-            "shard " + std::to_string(s) + " restored " +
-            std::to_string(replica->inserted_count()) +
-            " nodes, checkpoint recorded " + std::to_string(inserted));
-      }
+    GASS_RETURN_IF_ERROR(
+        shard->index.LoadSections(reader, prefix + "index.", shard->arena));
+    if (shard->index.inserted_count() != inserted) {
+      return core::Status::Corruption(
+          "shard " + std::to_string(s) + " restored " +
+          std::to_string(shard->index.inserted_count()) +
+          " nodes, checkpoint recorded " + std::to_string(inserted));
     }
     shards.push_back(std::move(shard));
   }

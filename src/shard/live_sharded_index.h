@@ -8,12 +8,11 @@
 // RouteDelete = owning shard) is logged in that shard's log and per-stream
 // replay order is sufficient for recovery.
 //
-// Searches rank the shard centroids against the query, probe the top
-// `nprobe` shards' indexes serially, map shard-local results to global
-// ids, and merge — the same routing/merge shape as shard::ShardedIndex,
-// minus its serving armor (breakers, hedging, fan-out pools): this class
-// is the *mutable* data plane, and layering it under shard::ShardedIndex's
-// fault machinery is future work, not silently half-done here.
+// Searches rank the shard centroids against the query and probe the top
+// `nprobe` shards serially, merging through the same RankShards and
+// MergeTopK (shard/route.h) as shard::ShardedIndex. This class is the
+// mutable data plane: one graph per shard, with no replicas, breakers,
+// hedging or fan-out pool.
 //
 // Implements both methods::GraphIndex (the searchable face handed to
 // serve::Frontend) and serve::LiveIndex (the update face handed to
@@ -39,11 +38,6 @@ struct LiveShardedOptions {
   /// Arena headroom per shard: live inserts a shard accepts beyond its
   /// base rows.
   std::size_t reserve_per_shard = 1024;
-  /// Replicas per shard (clamped to >= 1). All replicas of a shard share
-  /// one arena and are built/extended with identical parameters, so they
-  /// stay bit-identical; a serving knob, excluded from the params
-  /// fingerprint (checkpoints are replica-oblivious).
-  std::size_t replicas = 1;
   methods::HnswParams hnsw;
   PartitionerParams partitioner;
   std::uint64_t seed = 42;
@@ -103,14 +97,8 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
   core::Status LoadSections(const io::SnapshotReader& reader) override;
 
   const methods::HnswIndex& shard_index(std::size_t s) const {
-    return *shards_[s]->replicas.front();
+    return shards_[s]->index;
   }
-  /// Replica `r` of shard `s` (bit-identical to replica 0 by construction;
-  /// exposed so tests can assert exactly that).
-  const methods::HnswIndex& shard_replica(std::size_t s, std::size_t r) const {
-    return *shards_[s]->replicas[r];
-  }
-  std::size_t num_replicas() const { return num_replicas_; }
   const std::vector<core::VectorId>& shard_global_ids(std::size_t s) const {
     return shards_[s]->global_ids;
   }
@@ -119,26 +107,15 @@ class LiveShardedIndex : public methods::GraphIndex, public serve::LiveIndex {
   static constexpr std::uint32_t kNoOwner = ~std::uint32_t{0};
 
   struct Shard {
-    Shard(const methods::HnswParams& params, std::size_t num_replicas) {
-      replicas.reserve(num_replicas);
-      for (std::size_t r = 0; r < num_replicas; ++r) {
-        replicas.push_back(std::make_unique<methods::HnswIndex>(params));
-      }
-    }
+    explicit Shard(const methods::HnswParams& params) : index(params) {}
     core::Dataset arena;
-    /// R HNSW graphs over the one shared arena; identical parameters and
-    /// insertion order keep them bit-identical, so the WAL logs each
-    /// update once per shard and replay regenerates every replica.
-    std::vector<std::unique_ptr<methods::HnswIndex>> replicas;
-    methods::HnswIndex& primary() { return *replicas.front(); }
-    const methods::HnswIndex& primary() const { return *replicas.front(); }
+    methods::HnswIndex index;
     /// global_ids[local] = global id of the shard's local row `local`.
     std::vector<core::VectorId> global_ids;
     std::size_t base_rows = 0;
   };
 
   LiveShardedOptions options_;
-  std::size_t num_replicas_ = 1;
   const core::Dataset* base_ = nullptr;  ///< Shell-load source.
   std::size_t dim_ = 0;
   std::size_t base_n_ = 0;

@@ -13,7 +13,6 @@
 #include <stdexcept>
 #include <utility>
 
-#include "core/distance.h"
 #include "core/macros.h"
 #include "core/stats.h"
 #include "io/hash.h"
@@ -23,57 +22,65 @@
 #include "methods/factory.h"
 #include "methods/fingerprint.h"
 #include "serve/fault_injector.h"
+#include "shard/route.h"
 
 namespace gass::shard {
 
-/// One sub-search attempt's outcome within the hedged fan-out.
-struct HedgeAttempt {
+namespace {
+
+// Per-attempt disposition after fan-out.
+enum : std::uint8_t {
+  kProbeNotRun = 0,  // Deadline expired before the attempt started.
+  kProbeOk = 1,      // Completed; its result merges.
+  kProbeFailed = 2,  // Every routable replica failed (real or injected).
+};
+
+}  // namespace
+
+/// One sub-search attempt of a probe: the primary (attempt 0) or the
+/// hedged backup (attempt 1).
+struct ProbeAttempt {
   methods::SearchResult result;
-  /// Offsets from HedgeState::timer, for the coordinator's trace spans.
+  std::uint8_t state = kProbeNotRun;
+  /// Failed replicas retried on a peer, and the replica that finally
+  /// resolved the attempt (for the winner's breaker report).
+  std::size_t failovers = 0;
+  std::uint32_t replica = 0;
+  /// Offsets from FanoutState::timer, for the trace spans.
   double start = 0.0;
   double duration = 0.0;
-  bool failed = false;
-  /// Deadline already expired when the attempt started; nothing ran.
-  bool skipped = false;
-  /// Replica failovers this attempt performed, and the replica that
-  /// finally resolved it (for the winner's breaker report).
-  std::size_t failovers = 0;
-  std::uint32_t final_replica = 0;
 };
 
-/// One selected shard of a hedged fan-out: up to two attempts (primary and
-/// hedged backup), resolved by whichever finishes its winner CAS first.
-struct HedgeSlot {
+/// One selected shard: up to two attempts, resolved by whichever wins the
+/// CAS on `winner` first. The winning CAS publishes that attempt's fields.
+struct ProbeSlot {
   std::uint32_t shard = 0;
-  /// Replica the routing stage chose; the backup attempt starts from the
-  /// next replica in the ring so the hedge races different hardware state
-  /// when R > 1.
+  /// Replica the routing stage chose; the backup starts from the next one
+  /// in the ring so a hedge races a different replica when R > 1.
   std::uint32_t replica = 0;
   bool probe_granted = false;
-  HedgeAttempt attempts[2];
-  /// Index of the attempt that resolved the slot (-1 = still outstanding).
-  /// The release CAS publishes that attempt's fields to the coordinator.
+  ProbeAttempt attempts[2];
   std::atomic<int> winner{-1};
-  std::atomic<bool> hedged{false};
 };
 
-/// Heap-shared state of one hedged fan-out, kept alive by shared_ptr so an
-/// abandoned straggler — a sub-search the query stopped waiting for at its
-/// deadline — can finish harmlessly on the pool after the caller's stack
-/// frame (query vector, deadline, result slots) is long gone. Everything a
-/// straggler touches lives here or is an immutable/thread-safe index
-/// member.
-struct HedgeState {
-  std::vector<float> query;          // Own copy; the caller's may vanish.
-  core::Deadline deadline;           // Own copy, referenced by sub_params.
-  methods::SearchParams sub_params;  // trace nulled, deadline = &deadline.
+/// State of one query's fan-out. The serial path keeps it on the caller's
+/// stack; the pooled path shares it with its attempts through a
+/// shared_ptr, so a straggler the query stopped waiting for at its
+/// deadline finishes harmlessly after the caller's frame is gone.
+/// Everything an attempt touches lives here or is an immutable or
+/// thread-safe index member.
+struct FanoutState {
+  const float* query = nullptr;  // The caller's vector, or query_copy.
+  std::vector<float> query_copy;
+  core::Deadline deadline;       // Referenced by sub_params when limited.
+  methods::SearchParams sub_params;
   std::uint64_t query_seed = 0;
-  std::vector<HedgeSlot> slots;
-  core::Timer timer;                 // Attempt-offset origin.
+  std::vector<ProbeSlot> slots;
+  core::Timer timer;             // Attempt-offset origin.
 
   std::mutex mutex;
   std::condition_variable cv;
-  std::size_t unresolved = 0;        // Guarded by mutex.
+  std::size_t unresolved = 0;    // Guarded by mutex.
 };
 
 namespace {
@@ -400,543 +407,318 @@ methods::SearchResult ShardedIndex::Search(const float* query,
   return SearchImpl(query, params, &ctx->rng);
 }
 
-serve::SearchResponse ShardedIndex::Search(
-    const serve::SearchRequest& request) const {
-  GASS_CHECK_MSG(!shards_.empty(), "Search before Build");
-  // Standalone requests have no admission counter; auto resolves to 0.
-  const std::uint64_t id = request.admission_id == serve::kAutoAdmissionId
-                               ? 0
-                               : request.admission_id;
-  // Same (seed, admission id) reseed contract as the serve tier, so a
-  // request-based search is reproducible without a Frontend in front.
-  core::Rng rng(options_.seed ^ (kSeedMix * (id + 1)));
-  methods::SearchParams params = request.params;
-  core::Deadline deadline =
-      request.has_deadline ? request.deadline : core::Deadline();
-  params.deadline = deadline.unlimited() ? nullptr : &deadline;
-  if (request.trace != nullptr) request.trace->Begin(id);
-  params.trace = request.trace;
-  serve::SearchResponse response(SearchImpl(request.query, params, &rng));
-  response.admission_id = id;
-  response.shards_ok = response.stats.shards_probed;
-  response.shards_failed = response.stats.shards_failed;
-  response.shards_hedged = response.stats.shards_hedged;
-  response.replica_failovers = response.stats.replica_failovers;
-  response.outcome = response.expired ? methods::ServeOutcome::kExpired
-                     : params.degrade_step > 0
-                         ? methods::ServeOutcome::kDegraded
-                         : methods::ServeOutcome::kFull;
-  if (request.trace != nullptr) {
-    request.trace->Finish();
-    response.trace = request.trace;
-  }
-  return response;
-}
-
-namespace {
-
-// Per-probe disposition after fan-out (indexes the `state` array below).
-enum : std::uint8_t {
-  kProbeNotRun = 0,  // Deadline expired before the probe started/resolved.
-  kProbeOk = 1,      // Completed; its result merges.
-  kProbeFailed = 2,  // Sub-search failed (real or injected fault).
-};
-
-}  // namespace
-
 methods::SearchResult ShardedIndex::SearchImpl(
     const float* query, const methods::SearchParams& params,
     core::Rng* rng) const {
+  if (fanout_pool_ == nullptr) {
+    FanoutState state;
+    state.query = query;
+    return FanOut(params, rng, nullptr, &state);
+  }
+  // Pooled attempts may outlive this call, so they read their own copy of
+  // the query.
+  auto state = std::make_shared<FanoutState>();
+  state->query_copy.assign(query, query + data_->dim());
+  state->query = state->query_copy.data();
+  return FanOut(params, rng, state, state.get());
+}
+
+methods::SearchResult ShardedIndex::FanOut(
+    const methods::SearchParams& params, core::Rng* rng,
+    const std::shared_ptr<FanoutState>& shared, FanoutState* state) const {
   core::Timer timer;
   obs::QueryTrace* trace = params.trace;
-  const std::size_t k_shards = shards_.size();
   const std::size_t nprobe = EffectiveNprobe();
-  const std::size_t dim = data_->dim();
 
   // Route span: centroid ranking + shard selection.
   obs::StageTimer route_timer(trace, obs::Stage::kRoute);
-
-  // Route: rank every shard by centroid distance. Ties break toward the
-  // lower shard id (pair comparison), keeping routing deterministic.
-  std::vector<std::pair<float, std::uint32_t>> ranked(k_shards);
-  for (std::size_t s = 0; s < k_shards; ++s) {
-    ranked[s] = {core::L2Sq(query,
-                            partitioning_.centroids.Row(
-                                static_cast<core::VectorId>(s)),
-                            dim),
-                 static_cast<std::uint32_t>(s)};
-  }
-  std::sort(ranked.begin(), ranked.end());
+  const std::vector<std::pair<float, std::uint32_t>> ranked =
+      RankShards(state->query, partitioning_.centroids);
 
   // One RNG draw per query, fanned into per-probe streams by selection
-  // position, so parallel, caller-thread, and hedged fan-out all see
-  // identical sub-search seeds (a hedged backup replays its primary's
-  // stream and returns the same answers, modulo deadline truncation).
-  // Drawn before shard selection — it also keys the deterministic replica
-  // choice below; routing itself never consumes the RNG, so the draw
-  // order does not change any R = 1 result.
-  const std::uint64_t query_seed = rng->Next();
+  // position, so serial, pooled and hedged fan-out all see identical
+  // sub-search seeds (a hedged backup replays its primary's stream and
+  // returns the same answers, modulo deadline truncation). Drawn before
+  // shard selection — it also keys the deterministic replica choice below;
+  // routing itself never consumes the RNG, so the draw order does not
+  // change any R = 1 result.
+  state->query_seed = rng->Next();
 
   // Walk the ranked list and select up to nprobe shards. For each shard a
   // replica is chosen by health-aware power-of-two selection (R = 1: the
-  // one replica, exactly the historic path); a breaker-skip on the chosen
-  // replica falls through to the shard's remaining replicas, and only a
-  // shard whose every replica skips is routed around (the query
-  // substitutes the next-nearest centroid instead of failing). With every
-  // breaker closed this selects exactly the first nprobe ranks,
-  // preserving the historic routing bit-for-bit.
-  struct Selected {
-    std::uint32_t shard;
-    std::uint32_t replica;
-    bool probe_granted;
-  };
-  std::vector<Selected> selected;
-  selected.reserve(nprobe);
+  // one replica); a breaker-skip on the chosen replica falls through to the
+  // shard's remaining replicas, and only a shard whose every replica skips
+  // is routed around (the query substitutes the next-nearest centroid
+  // instead of failing). With every breaker closed this selects exactly
+  // the first nprobe ranks.
+  state->slots = std::vector<ProbeSlot>(nprobe);
+  std::size_t n_sel = 0;
   std::size_t breaker_skips = 0;
-  for (std::size_t i = 0; i < k_shards && selected.size() < nprobe; ++i) {
+  for (std::size_t i = 0; i < ranked.size() && n_sel < nprobe; ++i) {
     const std::uint32_t s = ranked[i].second;
     const std::uint32_t start_r = static_cast<std::uint32_t>(
-        PickReplica(query_seed, s, num_replicas_, *health_));
+        PickReplica(state->query_seed, s, num_replicas_, *health_));
     bool routed = false;
     for (std::size_t hop = 0; hop < num_replicas_ && !routed; ++hop) {
       const std::uint32_t r =
           static_cast<std::uint32_t>((start_r + hop) % num_replicas_);
-      switch (health_->RouteDecision(s, r)) {
-        case ShardRoute::kSearch:
-          selected.push_back({s, r, false});
-          routed = true;
-          break;
-        case ShardRoute::kProbe:
-          selected.push_back({s, r, true});
-          routed = true;
-          break;
-        case ShardRoute::kSkip:
-          break;
-      }
+      const ShardRoute route = health_->RouteDecision(s, r);
+      if (route == ShardRoute::kSkip) continue;
+      ProbeSlot& slot = state->slots[n_sel++];
+      slot.shard = s;
+      slot.replica = r;
+      slot.probe_granted = route == ShardRoute::kProbe;
+      routed = true;
     }
     if (!routed) ++breaker_skips;
   }
-  const std::size_t n_sel = selected.size();
-
   {
     core::SearchStats route_stats;
-    route_stats.distance_computations = k_shards;  // One per centroid.
+    route_stats.distance_computations = ranked.size();  // One per centroid.
     route_timer.SetStats(route_stats);
     route_timer.Stop();
   }
-
-  std::vector<methods::SearchResult> sub(n_sel);
-  std::vector<std::uint8_t> state(n_sel, kProbeNotRun);
-  // Per-probe replica-failover counts (each probe writes only its slot).
-  std::vector<std::size_t> failovers(n_sel, 0);
-  std::size_t hedges_launched = 0;
-  std::size_t hedge_wins = 0;
 
   // Sub-searches never see the trace: their costs and time are reported
   // as one kShardSearch span per probe, and a trace-aware sub-index would
   // otherwise record a nested, double-counted breakdown. Tombstones are
   // keyed by GLOBAL id, so sub-searches (which speak local ids) must not
   // see them either — deletions are filtered at the merge below.
-  methods::SearchParams sub_params = params;
-  sub_params.trace = nullptr;
-  sub_params.tombstones = nullptr;
+  state->sub_params = params;
+  state->sub_params.trace = nullptr;
+  state->sub_params.tombstones = nullptr;
+  const bool limited =
+      params.deadline != nullptr && !params.deadline->unlimited();
+  if (limited) state->deadline = *params.deadline;
+  state->sub_params.deadline = limited ? &state->deadline : nullptr;
+  state->unresolved = n_sel;
+  const std::uint64_t fanout_begin_ns =
+      trace != nullptr ? trace->ElapsedNs() : 0;
+  state->timer.Reset();
 
-  const bool hedged = options_.hedge_fraction > 0.0 &&
-                      fanout_pool_ != nullptr && params.deadline != nullptr &&
-                      !params.deadline->unlimited() && n_sel > 0;
+  std::size_t hedges_launched = 0;
+  if (shared == nullptr) {
+    // No pool: probes run in rank order on the caller thread; once the
+    // deadline is gone the remaining probes are skipped.
+    for (std::size_t idx = 0; idx < n_sel; ++idx) RunAttempt(*state, idx, 0);
+  } else {
+    // Pooled: every attempt runs on the pool while the caller coordinates.
+    // After hedge_fraction of the remaining budget elapses with probes
+    // still outstanding, one backup per outstanding probe launches, and
+    // the first attempt to finish resolves its probe. hedge_fraction 0 (or
+    // no deadline) launches no backup. At the deadline the coordinator
+    // stops waiting; stragglers keep `shared` alive and finish later.
+    const auto launch = [this, &shared](std::size_t idx, int attempt) {
+      if (!fanout_pool_->Submit(
+              [this, shared, idx, attempt] { RunAttempt(*shared, idx, attempt); })) {
+        RunAttempt(*shared, idx, attempt);
+      }
+    };
+    for (std::size_t idx = 0; idx < n_sel; ++idx) launch(idx, 0);
 
-  if (hedged) {
-    // Hedged fan-out: every probe runs on the pool; the caller thread
-    // coordinates. After hedge_fraction of the remaining budget elapses
-    // with shards still outstanding, one backup attempt per outstanding
-    // shard launches; the first attempt to finish resolves its shard. At
-    // the deadline the coordinator stops waiting — stragglers keep the
-    // heap-shared HedgeState alive and finish harmlessly later.
-    auto hstate = std::make_shared<HedgeState>();
-    hstate->query.assign(query, query + dim);
-    hstate->deadline = *params.deadline;
-    hstate->sub_params = sub_params;
-    hstate->sub_params.deadline = &hstate->deadline;
-    hstate->query_seed = query_seed;
-    hstate->slots = std::vector<HedgeSlot>(n_sel);
-    hstate->unresolved = n_sel;
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      hstate->slots[idx].shard = selected[idx].shard;
-      hstate->slots[idx].replica = selected[idx].replica;
-      hstate->slots[idx].probe_granted = selected[idx].probe_granted;
+    const auto all_resolved = [state] { return state->unresolved == 0; };
+    std::unique_lock<std::mutex> lock(state->mutex);
+    std::uint64_t hedge_begin_ns = 0;
+    bool hedge_fired = false;
+    if (options_.hedge_fraction > 0.0 && limited) {
+      const double hedge_delay =
+          options_.hedge_fraction *
+          std::max(0.0, state->deadline.RemainingSeconds());
+      hedge_fired = !state->cv.wait_for(
+          lock, std::chrono::duration<double>(hedge_delay), all_resolved);
     }
-    const std::uint64_t fanout_begin_ns =
-        trace != nullptr ? trace->ElapsedNs() : 0;
-    hstate->timer.Reset();
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      const bool accepted = fanout_pool_->Submit(
-          [this, hstate, idx] { RunHedgedAttempt(hstate, idx, 0); });
-      if (!accepted) RunHedgedAttempt(hstate, idx, 0);
-    }
-
-    const double remaining = hstate->deadline.RemainingSeconds();
-    const double hedge_delay =
-        options_.hedge_fraction * (remaining > 0.0 ? remaining : 0.0);
-    std::unique_lock<std::mutex> lock(hstate->mutex);
-    const bool all_done = hstate->cv.wait_for(
-        lock, std::chrono::duration<double>(hedge_delay),
-        [&] { return hstate->unresolved == 0; });
-    if (!all_done) {
+    if (hedge_fired) {
       lock.unlock();
-      const std::uint64_t hedge_begin_ns =
-          trace != nullptr ? trace->ElapsedNs() : 0;
+      hedge_begin_ns = trace != nullptr ? trace->ElapsedNs() : 0;
       for (std::size_t idx = 0; idx < n_sel; ++idx) {
-        HedgeSlot& slot = hstate->slots[idx];
+        ProbeSlot& slot = state->slots[idx];
         if (slot.winner.load(std::memory_order_acquire) != -1) continue;
         // A backup the deadline has already killed would only report
         // `skipped`: don't launch it, and don't count it into
-        // shards_hedged — the invariant hedge_wins <= shards_hedged must
-        // hold even under pathological deadlines.
-        if (hstate->deadline.IsExpired()) break;
-        slot.hedged.store(true, std::memory_order_relaxed);
+        // shards_hedged — hedge_wins <= shards_hedged must hold even under
+        // pathological deadlines.
+        if (state->deadline.IsExpired()) break;
         ++hedges_launched;
-        const bool accepted = fanout_pool_->Submit(
-            [this, hstate, idx] { RunHedgedAttempt(hstate, idx, 1); });
-        if (!accepted) RunHedgedAttempt(hstate, idx, 1);
+        launch(idx, 1);
       }
       lock.lock();
-      while (hstate->unresolved > 0) {
-        const double rem = hstate->deadline.RemainingSeconds();
-        if (rem <= 0.0) break;  // Abandon stragglers at the deadline.
-        hstate->cv.wait_for(lock, std::chrono::duration<double>(rem),
-                            [&] { return hstate->unresolved == 0; });
-        if (hstate->unresolved == 0) break;
-      }
-      if (trace != nullptr) {
-        obs::TraceSpan hedge_span;
-        hedge_span.stage = obs::Stage::kHedge;
-        hedge_span.start_ns = hedge_begin_ns;
-        hedge_span.duration_ns = trace->ElapsedNs() - hedge_begin_ns;
-        trace->AddSpan(hedge_span);
+    }
+    if (!limited) {
+      state->cv.wait(lock, all_resolved);
+    } else {
+      for (double rem = state->deadline.RemainingSeconds();
+           !all_resolved() && rem > 0.0;
+           rem = state->deadline.RemainingSeconds()) {
+        state->cv.wait_for(lock, std::chrono::duration<double>(rem),
+                           all_resolved);
       }
     }
     lock.unlock();
-
-    // Harvest resolved slots. An unresolved slot (winner still -1) was
-    // abandoned at the deadline: it stays kProbeNotRun and its eventual
-    // completion touches only HedgeState + thread-safe index members.
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      HedgeSlot& slot = hstate->slots[idx];
-      const int w = slot.winner.load(std::memory_order_acquire);
-      if (w < 0) continue;
-      HedgeAttempt& att = slot.attempts[w];
-      failovers[idx] = att.failovers;
-      if (slot.hedged.load(std::memory_order_relaxed) && w == 1 &&
-          !att.skipped && !att.failed) {
-        ++hedge_wins;
-      }
-      if (att.skipped) {
-        state[idx] = kProbeNotRun;
-      } else if (att.failed) {
-        state[idx] = kProbeFailed;
-      } else {
-        state[idx] = kProbeOk;
-        sub[idx] = std::move(att.result);
-        if (trace != nullptr) {
-          obs::TraceSpan span;
-          span.stage = obs::Stage::kShardSearch;
-          span.shard = static_cast<std::int32_t>(slot.shard);
-          span.start_ns =
-              fanout_begin_ns +
-              static_cast<std::uint64_t>(att.start * 1e9);
-          span.duration_ns = static_cast<std::uint64_t>(att.duration * 1e9);
-          span.distance_computations = sub[idx].stats.distance_computations;
-          span.hops = sub[idx].stats.hops;
-          span.prefetches = sub[idx].stats.prefetches;
-          trace->AddSpan(span);
-        }
-      }
-    }
-  } else {
-    auto run_probe = [&](std::size_t idx) {
-      const std::uint32_t s = selected[idx].shard;
-      // Deadline poll between probes: once the budget is gone, remaining
-      // shards are skipped entirely — the merged answer stays whatever
-      // the completed probes produced (all valid ids), never garbage.
-      if (params.deadline != nullptr && params.deadline->IsExpired()) {
-        if (selected[idx].probe_granted) {
-          health_->OnProbeAbandoned(s, selected[idx].replica);
-        }
-        return;
-      }
-      obs::StageTimer probe_timer(trace, obs::Stage::kShardSearch,
-                                  static_cast<std::int32_t>(s));
-      ProbeOutcome outcome;
-      SearchShardReplicas(s, selected[idx].replica, query, sub_params,
-                          query_seed ^ (kSeedMix * (idx + 1)),
-                          params.deadline, /*attempt=*/0,
-                          /*report_final=*/true, trace, &outcome);
-      failovers[idx] = outcome.failovers;
-      if (!outcome.ok) {
-        // A failing shard costs the query that shard's contribution, never
-        // the query: the failure becomes per-shard status (kProbeFailed →
-        // shards_failed/partial) and already fed the breakers.
-        probe_timer.Cancel();
-        state[idx] = kProbeFailed;
-      } else {
-        sub[idx] = std::move(outcome.result);
-        probe_timer.SetStats(sub[idx].stats);
-        state[idx] = kProbeOk;
-      }
-    };
-
-    if (fanout_pool_ != nullptr && n_sel > 1) {
-      // Per-query completion latch: the internal pool is shared by every
-      // concurrent query, so ThreadPool::Wait() (a global barrier) would
-      // serialize them; count down only this query's probes instead.
-      std::mutex done_mutex;
-      std::condition_variable done_cv;
-      std::size_t remaining = n_sel - 1;
-      auto finish_one = [&] {
-        std::unique_lock<std::mutex> lock(done_mutex);
-        if (--remaining == 0) done_cv.notify_one();
-      };
-      for (std::size_t idx = 1; idx < n_sel; ++idx) {
-        const bool accepted = fanout_pool_->Submit([&, idx] {
-          run_probe(idx);  // Never throws: failures become kProbeFailed.
-          finish_one();
-        });
-        if (!accepted) {
-          run_probe(idx);
-          finish_one();
-        }
-      }
-      run_probe(0);  // The caller searches the nearest shard itself.
-      std::unique_lock<std::mutex> lock(done_mutex);
-      done_cv.wait(lock, [&] { return remaining == 0; });
-    } else {
-      for (std::size_t idx = 0; idx < n_sel; ++idx) run_probe(idx);
+    if (hedge_fired && trace != nullptr) {
+      obs::TraceSpan hedge_span;
+      hedge_span.stage = obs::Stage::kHedge;
+      hedge_span.start_ns = hedge_begin_ns;
+      hedge_span.duration_ns = trace->ElapsedNs() - hedge_begin_ns;
+      trace->AddSpan(hedge_span);
     }
   }
 
-  // Merge span: per-shard stat aggregation + global-id top-k merge.
+  // Merge span: harvest the resolved slots, aggregate their stats and
+  // merge their results under global ids.
   obs::StageTimer merge_timer(trace, obs::Stage::kMerge);
-
   methods::SearchResult merged;
   merged.degrade_step = params.degrade_step;
-  std::size_t probed = 0;
+  MergeTopK merge(params.k, params.tombstones);
   std::size_t failed_probes = 0;
   std::size_t deadline_missed = 0;
   bool sub_expired = false;
   for (std::size_t idx = 0; idx < n_sel; ++idx) {
-    switch (state[idx]) {
-      case kProbeOk:
-        ++probed;
-        merged.stats.distance_computations +=
-            sub[idx].stats.distance_computations;
-        merged.stats.hops += sub[idx].stats.hops;
-        merged.stats.prefetches += sub[idx].stats.prefetches;
-        if (sub[idx].stats.deadline_expiries > 0) sub_expired = true;
-        break;
-      case kProbeFailed:
-        ++failed_probes;
-        break;
-      default:
-        ++deadline_missed;
-        break;
+    ProbeSlot& slot = state->slots[idx];
+    const int w = slot.winner.load(std::memory_order_acquire);
+    // An unresolved slot was abandoned at the deadline; its straggler
+    // touches only the shared state and thread-safe index members.
+    if (w < 0) {
+      ++deadline_missed;
+      continue;
     }
+    ProbeAttempt& att = slot.attempts[w];
+    merged.stats.replica_failovers += att.failovers;
+    if (att.state == kProbeNotRun) {
+      ++deadline_missed;
+      continue;
+    }
+    if (att.state == kProbeFailed) {
+      // A failing shard costs the query that shard's contribution, never
+      // the query; the failure already fed the breakers.
+      ++failed_probes;
+      continue;
+    }
+    const core::SearchStats& sub = att.result.stats;
+    ++merged.stats.shards_probed;
+    merged.stats.distance_computations += sub.distance_computations;
+    merged.stats.hops += sub.hops;
+    merged.stats.prefetches += sub.prefetches;
+    if (sub.deadline_expiries > 0) sub_expired = true;
+    if (w == 1) ++merged.stats.hedge_wins;  // Only a launched backup wins.
+    if (trace != nullptr) {
+      obs::TraceSpan span;
+      span.shard = static_cast<std::int32_t>(slot.shard);
+      span.start_ns =
+          fanout_begin_ns + static_cast<std::uint64_t>(att.start * 1e9);
+      // One zero-length marker per replica failover of this probe.
+      span.stage = obs::Stage::kReplicaFailover;
+      for (std::size_t f = 0; f < att.failovers; ++f) trace->AddSpan(span);
+      span.stage = obs::Stage::kShardSearch;
+      span.duration_ns = static_cast<std::uint64_t>(att.duration * 1e9);
+      span.distance_computations = sub.distance_computations;
+      span.hops = sub.hops;
+      span.prefetches = sub.prefetches;
+      trace->AddSpan(span);
+    }
+    merge.Add(std::move(att.result.neighbors),
+              partitioning_.shard_ids[slot.shard]);
   }
-  merged.stats.distance_computations += k_shards;  // Centroid routing.
-  merged.stats.shards_probed = probed;
+  merged.neighbors = merge.Finish();
+  merged.stats.distance_computations += ranked.size();  // Centroid routing.
   merged.stats.shards_failed = failed_probes + breaker_skips;
   merged.stats.shards_hedged = hedges_launched;
-  merged.stats.hedge_wins = hedge_wins;
-  for (const std::size_t f : failovers) merged.stats.replica_failovers += f;
-
-  // Merge local results into global ids. A single completed probe passes
-  // its list through untouched (order, ties, distances) — with K=1 this is
-  // what makes the facade bit-identical to the unsharded index. Tombstones
-  // (global ids; see SearchParams::tombstones) are filtered here, after
-  // the local→global mapping, since sub-searches ran without them.
-  const core::TombstoneSet* tombstones = params.tombstones;
-  const bool filter = tombstones != nullptr && !tombstones->empty();
-  if (probed == 1) {
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      if (state[idx] != kProbeOk) continue;
-      const std::uint32_t s = selected[idx].shard;
-      merged.neighbors = std::move(sub[idx].neighbors);
-      for (core::Neighbor& nb : merged.neighbors) {
-        nb.id = partitioning_.shard_ids[s][nb.id];
-      }
-      if (filter) {
-        merged.neighbors.erase(
-            std::remove_if(merged.neighbors.begin(), merged.neighbors.end(),
-                           [&](const core::Neighbor& nb) {
-                             return tombstones->Contains(nb.id);
-                           }),
-            merged.neighbors.end());
-      }
-      break;
-    }
-  } else if (probed > 1) {
-    std::vector<core::Neighbor> all;
-    for (std::size_t idx = 0; idx < n_sel; ++idx) {
-      if (state[idx] != kProbeOk) continue;
-      const std::uint32_t s = selected[idx].shard;
-      for (const core::Neighbor& nb : sub[idx].neighbors) {
-        const core::VectorId gid = partitioning_.shard_ids[s][nb.id];
-        if (filter && tombstones->Contains(gid)) continue;
-        all.emplace_back(gid, nb.distance);
-      }
-    }
-    // Neighbor's operator< is (distance, id) — cross-shard ties resolve to
-    // the lower global id, independent of probe completion order.
-    std::sort(all.begin(), all.end());
-    if (all.size() > params.k) all.resize(params.k);
-    merged.neighbors = std::move(all);
-  }
-
   merge_timer.Stop();
 
   // Two independent flags (see docs/SHARDING.md "Failure semantics"):
   // `expired` is deadline-caused — a sub-search truncated, a probe never
-  // started, or a hedged straggler was abandoned at the deadline; one
-  // query reports at most one expiry regardless of fan-out width.
-  // `partial` is fault-caused — a sub-search failed or an open breaker
-  // skipped a shard the routing wanted.
+  // started, or a straggler was abandoned at the deadline; one query
+  // reports at most one expiry regardless of fan-out width. `partial` is
+  // fault-caused — a sub-search failed or an open breaker skipped a shard
+  // the routing wanted.
   merged.expired = sub_expired || deadline_missed > 0;
-  merged.partial = failed_probes + breaker_skips > 0;
+  merged.partial = merged.stats.shards_failed > 0;
   merged.stats.deadline_expiries = merged.expired ? 1 : 0;
   merged.stats.elapsed_seconds = timer.Seconds();
   return merged;
 }
 
-void ShardedIndex::SearchShardReplicas(
-    std::uint32_t s, std::uint32_t first_replica, const float* query,
-    const methods::SearchParams& sub_params, std::uint64_t attempt_seed,
-    const core::Deadline* deadline, std::uint32_t attempt, bool report_final,
-    obs::QueryTrace* trace, ProbeOutcome* out) const {
-  // Failover walk: try the routed replica; every failure feeds its breaker
-  // immediately, then the next untried replica of the same shard that the
-  // breakers will route retries under the SAME deadline. Replicas are
-  // bit-identical and every retry reseeds from attempt_seed, so a failover
-  // changes availability, never answers.
-  std::vector<bool> tried(num_replicas_, false);
-  std::uint32_t r = first_replica;
-  for (;;) {
-    tried[r] = true;
-    bool failed = false;
-    if (faults_ != nullptr) {
-      faults_->OnShardSearch(sub_params.admission_id, s, attempt);
-    }
-    try {
-      if (faults_ != nullptr &&
-          faults_->ShouldFailShardSearch(sub_params.admission_id, s,
-                                         static_cast<std::int32_t>(r))) {
-        faults_->CountShardFailure();
-        // Thrown (not returned) so injected failures walk the exact
-        // exception-to-status path a real sub-search failure takes.
-        throw std::runtime_error("injected shard fault");
+void ShardedIndex::RunAttempt(FanoutState& state, std::size_t idx,
+                              int attempt) const {
+  ProbeSlot& slot = state.slots[idx];
+  ProbeAttempt& att = slot.attempts[attempt];
+  const methods::SearchParams& sub_params = state.sub_params;
+  const core::Deadline* deadline = sub_params.deadline;
+  att.start = state.timer.Seconds();
+  if (deadline == nullptr || !deadline->IsExpired()) {
+    // Failover walk: the primary starts at the routed replica, the backup
+    // at the next one in the ring. Every failure feeds its breaker at
+    // once, then the next replica in ring order that the breakers will
+    // route retries under the same deadline. Replicas are bit-identical
+    // and every try reseeds from the probe's stream — keyed by selection
+    // position, not attempt or replica — so a failover or a hedge changes
+    // availability, never answers.
+    const std::uint32_t first =
+        static_cast<std::uint32_t>((slot.replica + attempt) % num_replicas_);
+    std::uint32_t r = first;
+    std::size_t offset = 0;
+    for (;;) {
+      if (faults_ != nullptr) {
+        faults_->OnShardSearch(sub_params.admission_id, slot.shard,
+                               static_cast<std::uint32_t>(attempt));
       }
-      std::unique_ptr<methods::SearchContext> sctx = AcquireContext();
-      sctx->rng = core::Rng(attempt_seed);
-      out->result = shards_[s].Search(r, query, sub_params, sctx.get());
-      ReleaseContext(std::move(sctx));
-    } catch (...) {
-      failed = true;
-    }
-    probe_counts_[s].fetch_add(1, std::memory_order_relaxed);
-    if (!failed) {
-      out->ok = true;
-      out->replica = r;
-      // Hedged attempts defer the success report to the winner CAS so a
-      // losing attempt cannot double-close a breaker.
-      if (report_final) health_->OnResult(s, r, true);
-      return;
-    }
-    health_->OnResult(s, r, false);
-    if (deadline != nullptr && deadline->IsExpired()) {
-      out->replica = r;
-      return;  // No budget left to retry elsewhere.
-    }
-    // Next untried replica the breakers will route, in ring order from the
-    // failed one. A candidate that skips is marked tried (its breaker said
-    // no — asking again within the same probe would grant spurious probes).
-    bool found = false;
-    std::uint32_t next = 0;
-    for (std::uint32_t step = 1; step < num_replicas_ && !found; ++step) {
-      const std::uint32_t cand =
-          static_cast<std::uint32_t>((r + step) % num_replicas_);
-      if (tried[cand]) continue;
-      if (health_->RouteDecision(s, cand) != ShardRoute::kSkip) {
-        next = cand;
-        found = true;
-      } else {
-        tried[cand] = true;
+      bool failed = false;
+      try {
+        if (faults_ != nullptr &&
+            faults_->ShouldFailShardSearch(sub_params.admission_id,
+                                           slot.shard,
+                                           static_cast<std::int32_t>(r))) {
+          faults_->CountShardFailure();
+          // Thrown (not returned) so injected failures walk the exact
+          // exception-to-status path a real sub-search failure takes.
+          throw std::runtime_error("injected shard fault");
+        }
+        std::unique_ptr<methods::SearchContext> sctx = AcquireContext();
+        sctx->rng = core::Rng(state.query_seed ^ (kSeedMix * (idx + 1)));
+        att.result =
+            shards_[slot.shard].Search(r, state.query, sub_params, sctx.get());
+        ReleaseContext(std::move(sctx));
+      } catch (...) {
+        failed = true;
       }
+      probe_counts_[slot.shard].fetch_add(1, std::memory_order_relaxed);
+      att.replica = r;
+      if (!failed) {
+        att.state = kProbeOk;
+        break;
+      }
+      att.state = kProbeFailed;
+      health_->OnResult(slot.shard, r, false);
+      if (deadline != nullptr && deadline->IsExpired()) break;
+      // Candidates the breakers skip are passed over for this attempt
+      // (asking again would grant spurious probes).
+      bool found = false;
+      while (!found && ++offset < num_replicas_) {
+        r = static_cast<std::uint32_t>((first + offset) % num_replicas_);
+        found = health_->RouteDecision(slot.shard, r) != ShardRoute::kSkip;
+      }
+      if (!found) break;  // Every replica failed or is skipped.
+      ++att.failovers;
     }
-    if (!found) {
-      out->replica = r;
-      return;  // Every replica failed or is breaker-skipped: shard fails.
-    }
-    ++out->failovers;
-    if (trace != nullptr) {
-      obs::TraceSpan span;
-      span.stage = obs::Stage::kReplicaFailover;
-      span.shard = static_cast<std::int32_t>(s);
-      span.start_ns = trace->ElapsedNs();
-      trace->AddSpan(span);
-    }
-    r = next;
   }
-}
-
-void ShardedIndex::RunHedgedAttempt(const std::shared_ptr<HedgeState>& state,
-                                    std::size_t idx, int attempt) const {
-  HedgeSlot& slot = state->slots[idx];
-  HedgeAttempt& att = slot.attempts[attempt];
-  att.start = state->timer.Seconds();
-  if (state->deadline.IsExpired()) {
-    att.skipped = true;
-  } else {
-    // The backup starts from the next replica in the ring, so with R > 1 a
-    // hedge races different replica state instead of piling a second
-    // attempt onto the same possibly-struggling replica. Seeded by
-    // selection position, independent of attempt and replica: replicas are
-    // bit-identical, so whichever attempt wins returns the same answers
-    // (modulo deadline truncation).
-    const std::uint32_t first_r =
-        attempt == 0 ? slot.replica
-                     : static_cast<std::uint32_t>((slot.replica + 1) %
-                                                  num_replicas_);
-    ProbeOutcome outcome;
-    SearchShardReplicas(slot.shard, first_r, state->query.data(),
-                        state->sub_params,
-                        state->query_seed ^ (kSeedMix * (idx + 1)),
-                        &state->deadline, static_cast<std::uint32_t>(attempt),
-                        /*report_final=*/false, /*trace=*/nullptr, &outcome);
-    att.failed = !outcome.ok;
-    att.failovers = outcome.failovers;
-    att.final_replica = outcome.replica;
-    if (outcome.ok) att.result = std::move(outcome.result);
-  }
-  att.duration = state->timer.Seconds() - att.start;
-  // First attempt to finish resolves the shard; the release CAS publishes
-  // this attempt's fields to the coordinator. The loser's outcome is
+  att.duration = state.timer.Seconds() - att.start;
+  // The first attempt to finish resolves the probe; the loser's outcome is
   // discarded (it computed the same answers anyway — same seed).
   int expected = -1;
   if (!slot.winner.compare_exchange_strong(expected, attempt,
                                            std::memory_order_acq_rel)) {
     return;
   }
-  // Only the winner reports terminal success/abandonment: failed hops
-  // already fed their breakers inside SearchShardReplicas, and a success
-  // must close its breaker exactly once.
-  if (att.skipped) {
-    if (slot.probe_granted) {
-      health_->OnProbeAbandoned(slot.shard, slot.replica);
-    }
-  } else if (!att.failed) {
-    health_->OnResult(slot.shard, att.final_replica, true);
+  // Only the winner reports the terminal outcome: failed tries already fed
+  // their breakers above, and a success must close its breaker (or an
+  // unused probe be released) exactly once.
+  if (att.state == kProbeOk) {
+    health_->OnResult(slot.shard, att.replica, true);
+  } else if (att.state == kProbeNotRun && slot.probe_granted) {
+    health_->OnProbeAbandoned(slot.shard, slot.replica);
   }
-  std::lock_guard<std::mutex> lock(state->mutex);
-  --state->unresolved;
-  state->cv.notify_all();
+  std::lock_guard<std::mutex> lock(state.mutex);
+  --state.unresolved;
+  state.cv.notify_all();
 }
 
 core::Status ShardedIndex::ReloadShard(std::size_t s) {

@@ -4,9 +4,12 @@
 // builds one sub-index of any factory method per shard — in parallel on a
 // core::ThreadPool, each shard with a deterministic derived seed — and
 // keeps one routing centroid per shard. Search routes each query to the
-// `nprobe` nearest centroids, fans a beam search out to those shards
-// (parallel on an internal pool, or on the caller thread), and merges the
-// per-shard top-k into one global result carrying correct global VectorIds.
+// `nprobe` nearest centroids (shard/route.h), fans a beam search out to
+// those shards, and merges the per-shard top-k into one global result
+// carrying correct global VectorIds. The fan-out is one routine: probes run
+// serially on the caller thread, or on an internal pool while the caller
+// coordinates — with hedged backups as a parameter of the pooled case
+// (ShardedIndexOptions::hedge_fraction).
 //
 // Why shard: graph builds are superlinear in n, so K builds of n/K rows
 // each — run concurrently — cut build wall-clock by far more than K-way
@@ -41,7 +44,6 @@
 
 #include "core/thread_pool.h"
 #include "methods/graph_index.h"
-#include "serve/request.h"
 #include "shard/partitioner.h"
 #include "shard/replica_set.h"
 #include "shard/shard_health.h"
@@ -53,7 +55,7 @@ class FaultInjector;  // serve/fault_injector.h; the header only carries a
 
 namespace gass::shard {
 
-struct HedgeState;  // Heap-shared fan-out state (sharded_index.cc).
+struct FanoutState;  // One query's fan-out state (sharded_index.cc).
 
 struct ShardedIndexOptions {
   /// Factory name of the per-shard method (lowercase, e.g. "hnsw").
@@ -89,9 +91,9 @@ struct ShardedIndexOptions {
   /// Hedged fan-out: after this fraction of the query's remaining deadline
   /// budget elapses with shards still outstanding, launch one backup
   /// sub-search per outstanding shard on the fanout pool and take the
-  /// first result per shard. 0 (default) disables hedging and keeps the
-  /// classic fan-out path (bit-identical to previous behavior). Requires a
-  /// deadline and fanout_threads > 0 to take effect.
+  /// first result per shard. 0 (default) launches no backup; answers are
+  /// the same either way. Takes effect only with a deadline and
+  /// fanout_threads > 0.
   double hedge_fraction = 0.0;
 };
 
@@ -124,13 +126,6 @@ class ShardedIndex : public methods::GraphIndex {
   methods::SearchResult Search(const float* query,
                                const methods::SearchParams& params,
                                methods::SearchContext* ctx) const override;
-
-  /// Request-based entry point (the serve-tier API, usable standalone):
-  /// derives the per-query RNG from (seed, admission id), honors the
-  /// request deadline, and — when the request carries a trace — records
-  /// route / per-shard search / merge spans into it. Thread-safe like the
-  /// three-argument Search.
-  serve::SearchResponse Search(const serve::SearchRequest& request) const;
 
   bool SupportsConcurrentSearch() const override { return true; }
 
@@ -252,40 +247,24 @@ class ShardedIndex : public methods::GraphIndex {
   static std::string ShardPath(const std::string& path, std::size_t s);
 
  private:
-  /// Outcome of one shard probe after replica failover (see
-  /// SearchShardReplicas).
-  struct ProbeOutcome {
-    bool ok = false;
-    /// Replica that resolved the probe (the last one attempted).
-    std::uint32_t replica = 0;
-    /// Failed attempts retried on a peer replica.
-    std::size_t failovers = 0;
-    methods::SearchResult result;
-  };
-
+  /// Pooled fan-out copies the query into a heap-shared FanoutState
+  /// (stragglers may outlive the call); serial fan-out uses a stack one.
   methods::SearchResult SearchImpl(const float* query,
                                    const methods::SearchParams& params,
                                    core::Rng* rng) const;
-  /// One shard sub-search with replica failover: attempts `first_replica`,
-  /// and on failure retries the next routable replica of the same shard
-  /// while the deadline allows, feeding every failed attempt to that
-  /// replica's breaker. The final success is reported to the breaker only
-  /// when `report_final` (the hedged path reports it from the winner
-  /// instead, so racing attempts cannot double-report).
-  void SearchShardReplicas(std::uint32_t s, std::uint32_t first_replica,
-                           const float* query,
-                           const methods::SearchParams& sub_params,
-                           std::uint64_t attempt_seed,
-                           const core::Deadline* deadline,
-                           std::uint32_t attempt, bool report_final,
-                           obs::QueryTrace* trace, ProbeOutcome* out) const;
-  /// One sub-search attempt of the hedged fan-out (attempt 0 = primary,
-  /// 1 = backup, racing a different replica when R > 1); runs on the
-  /// fanout pool, resolves its slot via a winner CAS, and touches only
-  /// `state` plus immutable/thread-safe members so an abandoned straggler
-  /// stays harmless after its query returns.
-  void RunHedgedAttempt(const std::shared_ptr<HedgeState>& state,
-                        std::size_t idx, int attempt) const;
+  /// The one fan-out: route, select replicas, dispatch the probes (serial
+  /// when `shared` is null, else on the pool with optional hedging), then
+  /// harvest the slots into the merge.
+  methods::SearchResult FanOut(const methods::SearchParams& params,
+                               core::Rng* rng,
+                               const std::shared_ptr<FanoutState>& shared,
+                               FanoutState* state) const;
+  /// One attempt of probe `idx` (0 = primary, 1 = hedged backup): the
+  /// replica failover walk, then a winner CAS that resolves the slot.
+  /// Only the winner reports the terminal outcome to the breakers. Touches
+  /// only `state` plus immutable or thread-safe members, so an abandoned
+  /// straggler stays harmless after its query returns.
+  void RunAttempt(FanoutState& state, std::size_t idx, int attempt) const;
   /// LoadSnapshot body; the wrapper resets this index to the unbuilt state
   /// when any step fails, so a rejected snapshot never leaves a
   /// half-loaded, searchable index behind.

@@ -15,7 +15,6 @@
 #include "methods/search_params.h"
 #include "obs/trace.h"
 #include "serve/executor.h"
-#include "serve/request.h"
 #include "shard/sharded_index.h"
 #include "synth/generators.h"
 #include "synth/workloads.h"
@@ -110,16 +109,17 @@ TEST(TraceDeterminismTest, ShardedRequestSearchTracesAreStable) {
   shard::ShardedIndex index(options);
   index.Build(split.base);
 
+  methods::SearchContext ctx = index.MakeSearchContext(0);
+  serve::ServeMetrics metrics;
   for (std::uint64_t id = 0; id < split.queries.size(); ++id) {
     QueryTrace first, second;
     for (QueryTrace* trace : {&first, &second}) {
-      serve::SearchRequest request;
-      request.query = split.queries.Row(static_cast<core::VectorId>(id));
-      request.dim = split.queries.dim();
-      request.params = methods::MakeSearchParams(5, 32, 8);
-      request.admission_id = id;
-      request.trace = trace;
-      const serve::SearchResponse response = index.Search(request);
+      trace->Begin(id);
+      const serve::SearchResponse response = serve::Execute(
+          index, split.queries.Row(static_cast<core::VectorId>(id)), &ctx,
+          options.seed, id, methods::MakeSearchParams(5, 32, 8),
+          core::Deadline(), trace, metrics);
+      serve::FinishTrace(trace, /*owner=*/nullptr, metrics);
       EXPECT_EQ(response.admission_id, id);
     }
     const TraceKey a = KeyOf(first), b = KeyOf(second);

@@ -28,7 +28,6 @@
 #include "methods/factory.h"
 #include "serve/executor.h"
 #include "serve/fault_injector.h"
-#include "serve/request.h"
 #include "shard/replica_set.h"
 #include "shard/sharded_index.h"
 
@@ -65,18 +64,16 @@ methods::SearchParams MakeParams() {
   return params;
 }
 
-/// Request-based search: the per-query RNG (and with it the replica
-/// selection key) derives from (seed, admission id), so distinct ids
-/// exercise distinct replica choices — unlike a fresh fixed-seed context.
+/// Search through the serve tier's request path: the per-query RNG (and
+/// with it the replica selection key) derives from (seed, admission id),
+/// so distinct ids exercise distinct replica choices — unlike a fresh
+/// fixed-seed context.
 serve::SearchResponse SearchId(const ShardedIndex& index, const float* query,
                                std::uint64_t id) {
-  serve::SearchRequest request;
-  request.query = query;
-  request.dim = kDim;
-  request.params = MakeParams();
-  request.params.admission_id = id;
-  request.admission_id = id;
-  return index.Search(request);
+  methods::SearchContext ctx = index.MakeSearchContext(0);
+  serve::ServeMetrics metrics;
+  return serve::Execute(index, query, &ctx, kSeed, id, MakeParams(),
+                        core::Deadline(), /*trace=*/nullptr, metrics);
 }
 
 /// Flips one neighbor id of replica (s, r)'s base graph in place — the

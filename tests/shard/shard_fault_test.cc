@@ -132,17 +132,25 @@ TEST(ShardFaultTest, ParallelFanOutMatchesSerialUnderInjectedFaults) {
   auto serial_options = MakeOptions(4);
   auto parallel_options = serial_options;
   parallel_options.fanout_threads = 3;
+  // Hedging is a parameter of the one pooled fan-out: with a deadline far
+  // beyond any probe, the trigger never fires and the answers match.
+  auto hedged_options = parallel_options;
+  hedged_options.hedge_fraction = 0.5;
   ShardedIndex serial(serial_options);
   serial.Build(data);
   ShardedIndex parallel(parallel_options);
   parallel.Build(data);
+  ShardedIndex hedged(hedged_options);
+  hedged.Build(data);
 
-  // Every 2nd admission id loses shard 1; both fan-out modes see the same
+  // Every 2nd admission id loses shard 1; every fan-out mode sees the same
   // (admission id, shard) plan, so their failures line up exactly.
   serve::FaultInjector serial_faults(FailShardPlan(1, 2));
   serve::FaultInjector parallel_faults(FailShardPlan(1, 2));
+  serve::FaultInjector hedged_faults(FailShardPlan(1, 2));
   serial.SetFaultInjector(&serial_faults);
   parallel.SetFaultInjector(&parallel_faults);
+  hedged.SetFaultInjector(&hedged_faults);
 
   for (VectorId q = 0; q < queries.size(); ++q) {
     methods::SearchParams params = MakeParams();
@@ -157,7 +165,28 @@ TEST(ShardFaultTest, ParallelFanOutMatchesSerialUnderInjectedFaults) {
       EXPECT_EQ(a.neighbors[i].id, b.neighbors[i].id) << "rank " << i;
       EXPECT_EQ(a.neighbors[i].distance, b.neighbors[i].distance);
     }
+
+    const core::Deadline generous = core::Deadline::After(60.0);
+    params.deadline = &generous;
+    const auto h = SearchOnce(hedged, queries.Row(q), params);
+    EXPECT_EQ(a.partial, h.partial) << "query " << q;
+    EXPECT_EQ(a.expired, h.expired);
+    EXPECT_EQ(a.stats.distance_computations, h.stats.distance_computations);
+    EXPECT_EQ(a.stats.hops, h.stats.hops);
+    EXPECT_EQ(a.stats.prefetches, h.stats.prefetches);
+    EXPECT_EQ(a.stats.deadline_expiries, h.stats.deadline_expiries);
+    EXPECT_EQ(a.stats.shards_probed, h.stats.shards_probed);
+    EXPECT_EQ(a.stats.shards_failed, h.stats.shards_failed);
+    EXPECT_EQ(a.stats.shards_hedged, h.stats.shards_hedged);
+    EXPECT_EQ(a.stats.hedge_wins, h.stats.hedge_wins);
+    EXPECT_EQ(a.stats.replica_failovers, h.stats.replica_failovers);
+    ASSERT_EQ(a.neighbors.size(), h.neighbors.size());
+    for (std::size_t i = 0; i < a.neighbors.size(); ++i) {
+      EXPECT_EQ(a.neighbors[i].id, h.neighbors[i].id) << "rank " << i;
+      EXPECT_EQ(a.neighbors[i].distance, h.neighbors[i].distance);
+    }
   }
+  EXPECT_EQ(serial.health().Summary(), hedged.health().Summary());
 }
 
 // The full lifecycle: consecutive failures trip the breaker, the open

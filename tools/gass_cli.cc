@@ -998,15 +998,8 @@ int CmdUpdateBench(const Flags& flags) {
   sharded_options.nprobe = static_cast<std::size_t>(flags.GetInt("nprobe", 0));
   sharded_options.reserve_per_shard =
       shards > 0 ? (reserve + shards - 1) / shards : reserve;
-  sharded_options.replicas =
-      static_cast<std::size_t>(flags.GetInt("replicas", 1));
   sharded_options.hnsw.seed = seed;
   sharded_options.seed = seed;
-  if (shards == 0 && sharded_options.replicas > 1) {
-    std::fprintf(stderr,
-                 "error: --replicas needs sharded live updates (--shards K)\n");
-    return 1;
-  }
 
   // Build the live index and its durable state (checkpoint + empty WALs).
   std::unique_ptr<gass::serve::LiveIndex> live;
@@ -1298,7 +1291,6 @@ std::vector<ArgSpec> CommandSpecs(const std::string& command) {
             {"queue", ArgKind::kInt},
             {"seed", ArgKind::kInt},
             {"nprobe", ArgKind::kInt},
-            {"replicas", ArgKind::kInt},
             {"trace", ArgKind::kInt},
             {"trace-out", ArgKind::kString},
             {"metrics-out", ArgKind::kString}};
