@@ -15,6 +15,7 @@
 #include "core/deadline.h"
 #include "core/distance.h"
 #include "core/graph.h"
+#include "core/layer_stack.h"
 #include "core/neighbor.h"
 #include "core/stats.h"
 #include "core/tombstones.h"
@@ -58,12 +59,18 @@ inline void ExpandNeighbors(const FlatGraph& graph, VectorId v,
   *out = graph.Neighbors(v, degree);
 }
 
+inline void ExpandNeighbors(const LayerView& layer, VectorId v,
+                            const VectorId** out, std::size_t* degree) {
+  *out = layer.Neighbors(v, degree);
+}
+
 /// Neighbors evaluated per batched kernel call during expansion.
 inline constexpr std::size_t kExpandBatch = DistanceComputer::kBatchChunk;
 
 }  // namespace internal
 
-/// Runs Algorithm 1 over `graph` (Graph or FlatGraph).
+/// Runs Algorithm 1 over `graph` (Graph, FlatGraph or one LayerStack
+/// layer).
 ///
 /// `seeds` warm the candidate pool (the first seed acts as the entry node —
 /// it is simply the first candidate expanded, since the pool is sorted by

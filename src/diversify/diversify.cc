@@ -109,4 +109,41 @@ std::vector<Neighbor> Diversify(DistanceComputer& dc, VectorId self,
   return kept;
 }
 
+namespace {
+
+void SetKept(core::LayerStack* stack, std::size_t layer, VectorId v,
+             const std::vector<Neighbor>& kept) {
+  std::vector<VectorId> ids;
+  ids.reserve(kept.size());
+  for (const Neighbor& nb : kept) ids.push_back(nb.id);
+  stack->SetNeighbors(layer, v, ids.data(), ids.size());
+}
+
+}  // namespace
+
+void AddReverseEdge(DistanceComputer& dc, core::LayerStack* stack,
+                    std::size_t layer, VectorId target, VectorId source,
+                    const Params& params, PruneStats* stats) {
+  GASS_DCHECK(params.max_degree == stack->cap());
+  if (!stack->AddReverseEdge(layer, target, source)) return;
+  std::size_t degree = 0;
+  const VectorId* ids = stack->Neighbors(layer, target, &degree);
+  std::vector<Neighbor> candidates;
+  candidates.reserve(degree);
+  AppendScored(dc, target, ids, degree, &candidates);
+  std::sort(candidates.begin(), candidates.end());
+  SetKept(stack, layer, target,
+          Diversify(dc, target, candidates, params, stats));
+}
+
+void InstallBidirectional(DistanceComputer& dc, core::LayerStack* stack,
+                          std::size_t layer, VectorId v,
+                          const std::vector<Neighbor>& kept,
+                          const Params& params) {
+  SetKept(stack, layer, v, kept);
+  for (const Neighbor& nb : kept) {
+    AddReverseEdge(dc, stack, layer, nb.id, v, params);
+  }
+}
+
 }  // namespace gass::diversify

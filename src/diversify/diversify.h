@@ -23,6 +23,7 @@
 #include <vector>
 
 #include "core/distance.h"
+#include "core/layer_stack.h"
 #include "core/neighbor.h"
 
 namespace gass::diversify {
@@ -78,6 +79,45 @@ std::vector<core::Neighbor> Diversify(core::DistanceComputer& dc,
                                       const std::vector<core::Neighbor>& candidates,
                                       const Params& params,
                                       PruneStats* stats = nullptr);
+
+/// Appends (u, dc.Between(v, u)) for every u in [ids, ids + n) to `scored`,
+/// evaluating distances through the batched kernels with rows prefetched
+/// ahead of the compute. Same count and bit-identical distances as a
+/// per-neighbor loop.
+inline void AppendScored(core::DistanceComputer& dc, core::VectorId v,
+                         const core::VectorId* ids, std::size_t n,
+                         std::vector<core::Neighbor>* scored) {
+  constexpr std::size_t kChunk = core::DistanceComputer::kBatchChunk;
+  float dist[kChunk];
+  std::size_t done = 0;
+  while (done < n) {
+    const std::size_t m = n - done < kChunk ? n - done : kChunk;
+    for (std::size_t j = 0; j < m; ++j) dc.Prefetch(ids[done + j]);
+    dc.BetweenBatch(v, ids + done, m, dist);
+    for (std::size_t j = 0; j < m; ++j) {
+      scored->emplace_back(ids[done + j], dist[j]);
+    }
+    done += m;
+  }
+}
+
+/// Adds the edge target -> source on `layer` of `stack` unless present. A
+/// list that overflows the stack's cap is re-pruned: scored against
+/// `target`, sorted nearest-first and diversified with `params`, whose
+/// max_degree must equal the cap (the II overflow treatment that
+/// methods::AddReverseEdge applies to a core::Graph). Touches only
+/// `target`'s list.
+void AddReverseEdge(core::DistanceComputer& dc, core::LayerStack* stack,
+                    std::size_t layer, core::VectorId target,
+                    core::VectorId source, const Params& params,
+                    PruneStats* stats = nullptr);
+
+/// Installs `kept` (at most the cap) as v's list on `layer` and adds the
+/// reverse edge to each kept neighbor, in order (see AddReverseEdge).
+void InstallBidirectional(core::DistanceComputer& dc, core::LayerStack* stack,
+                          std::size_t layer, core::VectorId v,
+                          const std::vector<core::Neighbor>& kept,
+                          const Params& params);
 
 }  // namespace gass::diversify
 

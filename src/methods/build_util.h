@@ -13,26 +13,7 @@
 
 namespace gass::methods {
 
-/// Appends (u, dc.Between(v, u)) for every u in [ids, ids + n) to `scored`,
-/// evaluating distances through the batched kernels with rows prefetched
-/// ahead of the compute. Same count and bit-identical distances as the
-/// per-neighbor loop it replaces.
-inline void AppendScored(core::DistanceComputer& dc, core::VectorId v,
-                         const core::VectorId* ids, std::size_t n,
-                         std::vector<core::Neighbor>* scored) {
-  constexpr std::size_t kChunk = core::DistanceComputer::kBatchChunk;
-  float dist[kChunk];
-  std::size_t done = 0;
-  while (done < n) {
-    const std::size_t m = n - done < kChunk ? n - done : kChunk;
-    for (std::size_t j = 0; j < m; ++j) dc.Prefetch(ids[done + j]);
-    dc.BetweenBatch(v, ids + done, m, dist);
-    for (std::size_t j = 0; j < m; ++j) {
-      scored->emplace_back(ids[done + j], dist[j]);
-    }
-    done += m;
-  }
-}
+using diversify::AppendScored;
 
 /// Adds the edge target -> source unless present; a list that overflows
 /// `prune.max_degree` is re-pruned with the same ND strategy (the standard

@@ -19,42 +19,6 @@ using core::Graph;
 using core::Neighbor;
 using core::VectorId;
 
-core::VectorId HnswIndex::DescendToLayer(DistanceComputer& dc,
-                                         const float* query,
-                                         std::size_t from_layer,
-                                         std::size_t target) const {
-  VectorId current = entry_;
-  float current_dist = dc.ToQuery(query, current);
-  for (std::size_t l = from_layer; l-- > target;) {
-    if (l >= layers_.size()) continue;
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      // Prefetch-then-batch over the full neighbor list of the node we
-      // started this sweep from; the sequential scan below makes the greedy
-      // step (and the distance count) identical to the one-at-a-time loop.
-      const auto& list = layers_[l].Neighbors(current);
-      const VectorId* ids = list.data();
-      const std::size_t degree = list.size();
-      constexpr std::size_t kChunk = DistanceComputer::kBatchChunk;
-      float dist[kChunk];
-      for (std::size_t i = 0; i < degree; i += kChunk) {
-        const std::size_t m = std::min(kChunk, degree - i);
-        for (std::size_t j = 0; j < m; ++j) dc.Prefetch(ids[i + j]);
-        dc.ToQueryBatch(query, ids + i, m, dist);
-        for (std::size_t j = 0; j < m; ++j) {
-          if (dist[j] < current_dist) {
-            current_dist = dist[j];
-            current = ids[i + j];
-            improved = true;
-          }
-        }
-      }
-    }
-  }
-  return current;
-}
-
 std::uint32_t HnswIndex::DrawLevel() {
   const double denom =
       std::log(std::max(2.0, static_cast<double>(params_.m) / 2.0));
@@ -70,14 +34,19 @@ std::vector<std::vector<VectorId>> HnswIndex::FindNeighbors(
   prune.strategy = diversify::Strategy::kRnd;
   const std::uint32_t top = std::min(level_[v], entry_level_);
 
-  VectorId current = DescendToLayer(dc, data.Row(v), entry_level_, top);
+  VectorId current =
+      layers_.Descend(dc, data.Row(v), entry_, entry_level_, top);
   std::vector<std::vector<VectorId>> links(top + 1);
   for (std::uint32_t l = top + 1; l-- > 0;) {
-    const Graph& layer_graph = l == 0 ? base_ : layers_[l - 1];
     prune.max_degree = l == 0 ? params_.m * 2 : params_.m;  // maxM0.
-    const std::vector<Neighbor> candidates = core::BeamSearch(
-        layer_graph, dc, data.Row(v), {current}, params_.ef_construction,
-        params_.ef_construction, visited);
+    const std::vector<VectorId> seeds{current};
+    const std::vector<Neighbor> candidates =
+        l == 0 ? core::BeamSearch(base_, dc, data.Row(v), seeds,
+                                  params_.ef_construction,
+                                  params_.ef_construction, visited)
+               : core::BeamSearch(layers_.Layer(l), dc, data.Row(v), seeds,
+                                  params_.ef_construction,
+                                  params_.ef_construction, visited);
     const std::vector<Neighbor> kept =
         diversify::Diversify(dc, v, candidates, prune);
     // The forward list at any layer is bounded by M (heuristic selects at
@@ -93,12 +62,10 @@ void HnswIndex::InsertBatch(std::size_t end,
                             std::vector<BuildWorker>& workers) {
   const auto begin = static_cast<VectorId>(inserted_);
   const std::size_t size = end - begin;
-  std::uint32_t batch_top = 0;
   for (VectorId v = begin; v < end; ++v) {
     level_[v] = DrawLevel();
-    batch_top = std::max(batch_top, level_[v]);
+    if (level_[v] > 0) layers_.AddNode(v, level_[v]);
   }
-  while (layers_.size() < batch_top) layers_.emplace_back(data_->size());
 
   if (inserted_ > 0) {
     // Search: every batch node reads only the graph frozen at batch start.
@@ -121,14 +88,18 @@ void HnswIndex::InsertBatch(std::size_t end,
     prune.strategy = diversify::Strategy::kRnd;
     std::vector<std::pair<VectorId, VectorId>> reverse;  // (target, source)
     std::vector<std::size_t> runs;
-    for (std::size_t l = 0; l <= layers_.size(); ++l) {
-      Graph& layer_graph = l == 0 ? base_ : layers_[l - 1];
+    for (std::size_t l = 0; l <= layers_.num_layers(); ++l) {
       reverse.clear();
       for (std::size_t i = 0; i < size; ++i) {
         if (links[i].size() <= l) continue;
         const auto v = static_cast<VectorId>(begin + i);
-        for (VectorId u : links[i][l]) reverse.emplace_back(u, v);
-        layer_graph.SetNeighbors(v, std::move(links[i][l]));
+        std::vector<VectorId>& list = links[i][l];
+        for (VectorId u : list) reverse.emplace_back(u, v);
+        if (l == 0) {
+          base_.SetNeighbors(v, std::move(list));
+        } else {
+          layers_.SetNeighbors(l, v, list.data(), list.size());
+        }
       }
       // Every node's links span layers 0..top, so the first empty layer
       // ends the batch.
@@ -145,8 +116,14 @@ void HnswIndex::InsertBatch(std::size_t end,
       core::ParallelFor(
           runs.size() - 1, workers.size(), [&](std::size_t w, std::size_t r) {
             for (std::size_t j = runs[r]; j < runs[r + 1]; ++j) {
-              AddReverseEdge(workers[w].dc, &layer_graph, reverse[j].first,
-                             reverse[j].second, prune);
+              if (l == 0) {
+                AddReverseEdge(workers[w].dc, &base_, reverse[j].first,
+                               reverse[j].second, prune);
+              } else {
+                diversify::AddReverseEdge(workers[w].dc, &layers_, l,
+                                          reverse[j].first,
+                                          reverse[j].second, prune);
+              }
             }
           });
     }
@@ -197,7 +174,7 @@ BuildStats HnswIndex::BuildPrefixOn(const core::Dataset& data,
   core::Timer timer;
 
   base_ = Graph(data.size());
-  layers_.clear();
+  layers_ = core::LayerStack(data.size(), params_.m);
   level_.assign(data.size(), 0);
   visited_ = std::make_unique<core::VisitedTable>(data.size());
   level_rng_ = std::make_unique<core::Rng>(params_.seed);
@@ -206,6 +183,7 @@ BuildStats HnswIndex::BuildPrefixOn(const core::Dataset& data,
   BuildStats stats;
   stats.distance_computations =
       InsertRows(count, std::max<std::size_t>(1, count / 50), threads);
+  layers_.ShrinkToFit();
   stats.elapsed_seconds = timer.Seconds();
   stats.index_bytes = IndexBytes();
   stats.peak_bytes = stats.index_bytes;
@@ -244,12 +222,15 @@ SearchResult HnswIndex::SearchWith(const float* query,
 
   // SN seed selection: descend to layer 1's best node; it and its layer-1
   // neighborhood seed the base-layer beam search.
-  const VectorId node = DescendToLayer(dc, query, layers_.size(), 0);
+  const VectorId node =
+      layers_.Descend(dc, query, entry_, layers_.num_layers(), 0);
   std::vector<VectorId> seeds{node};
-  if (!layers_.empty()) {
-    for (VectorId u : layers_[0].Neighbors(node)) {
-      if (seeds.size() >= params.num_seeds) break;
-      seeds.push_back(u);
+  if (layers_.num_layers() > 0) {
+    std::size_t degree = 0;
+    const VectorId* ids = layers_.Neighbors(1, node, &degree);
+    for (std::size_t i = 0; i < degree && seeds.size() < params.num_seeds;
+         ++i) {
+      seeds.push_back(ids[i]);
     }
   }
 
@@ -277,13 +258,88 @@ std::uint64_t HnswIndex::ParamsFingerprint() const {
   return FingerprintBytes(enc);
 }
 
+namespace {
+
+// The "layers" section keeps the dense format of one io::EncodeGraph per
+// layer 1..top (a u64 node count, then every node's u32 degree and ids),
+// so snapshots do not depend on the in-memory layout.
+void EncodeLayers(const core::LayerStack& stack,
+                  const std::vector<std::uint32_t>& level,
+                  io::Encoder* enc) {
+  const std::size_t n = stack.size();
+  for (std::size_t l = 1; l <= stack.num_layers(); ++l) {
+    enc->U64(n);
+    for (VectorId v = 0; v < n; ++v) {
+      std::size_t degree = 0;
+      const VectorId* ids =
+          level[v] >= l ? stack.Neighbors(l, v, &degree) : nullptr;
+      enc->U32(static_cast<std::uint32_t>(degree));
+      enc->Bytes(ids, degree * sizeof(VectorId));
+    }
+  }
+}
+
+// Inverse of EncodeLayers into `stack`, whose nodes already own blocks for
+// their `level`. Beyond Graph::Validate's range and self-loop checks, it
+// rejects what would otherwise reach outside a block: a list on a node
+// below the layer, a list longer than the cap, and an edge to a node
+// below the layer.
+core::Status DecodeLayers(io::Decoder* dec,
+                          const std::vector<std::uint32_t>& level,
+                          std::size_t num_layers, core::LayerStack* stack) {
+  const std::uint64_t n = stack->size();
+  std::vector<VectorId> ids(stack->cap());
+  for (std::size_t l = 1; l <= num_layers; ++l) {
+    const auto fail = [&](VectorId v, const std::string& what) {
+      dec->Fail("HNSW layer " + std::to_string(l) + " node " +
+                std::to_string(v) + " " + what);
+      return dec->status();
+    };
+    if (!dec->Check(dec->U64() == n, "HNSW layer " + std::to_string(l) +
+                                         " node count does not match the "
+                                         "dataset size")) {
+      return dec->status();
+    }
+    for (VectorId v = 0; v < n; ++v) {
+      const std::uint32_t degree = dec->U32();
+      if (!dec->ok()) return dec->status();
+      if (degree == 0) continue;
+      if (level[v] < l) return fail(v, "has a list above its level");
+      if (degree > stack->cap()) {
+        return fail(v, "degree " + std::to_string(degree) +
+                           " exceeds the bound " +
+                           std::to_string(stack->cap()));
+      }
+      if (!dec->Bytes(ids.data(), degree * sizeof(VectorId))) {
+        return dec->status();
+      }
+      for (std::uint32_t i = 0; i < degree; ++i) {
+        const VectorId u = ids[i];
+        if (u >= n) {
+          return fail(v, "has neighbor id " + std::to_string(u) +
+                             " out of range");
+        }
+        if (u == v) return fail(v, "has a self-loop");
+        if (level[u] < l) {
+          return fail(v, "links to node " + std::to_string(u) +
+                             " below the layer");
+        }
+      }
+      stack->SetNeighbors(l, v, ids.data(), degree);
+    }
+  }
+  return dec->status();
+}
+
+}  // namespace
+
 core::Status HnswIndex::SaveSections(io::SnapshotWriter* writer,
                                      const std::string& prefix) const {
   io::Encoder meta;
   meta.U32(entry_);
   meta.U32(entry_level_);
   meta.U64(inserted_);
-  meta.U64(layers_.size());
+  meta.U64(layers_.num_layers());
   meta.VecU32(level_);
   GASS_RETURN_IF_ERROR(writer->AddSection(prefix + "meta", std::move(meta)));
 
@@ -292,7 +348,7 @@ core::Status HnswIndex::SaveSections(io::SnapshotWriter* writer,
   GASS_RETURN_IF_ERROR(writer->AddSection(prefix + "base", std::move(base)));
 
   io::Encoder layers;
-  for (const Graph& layer : layers_) io::EncodeGraph(layer, &layers);
+  EncodeLayers(layers_, level_, &layers);
   return writer->AddSection(prefix + "layers", std::move(layers));
 }
 
@@ -314,25 +370,47 @@ core::Status HnswIndex::LoadSections(const io::SnapshotReader& reader,
   dec.Check(inserted <= n, "HNSW inserted count exceeds dataset size");
   dec.Check(num_layers <= (1ULL << 20), "implausible HNSW layer count");
   dec.Check(entry < n, "HNSW entry point out of range");
-  dec.Check(entry_level <= num_layers, "HNSW entry level above layer stack");
-  for (std::uint32_t node_level : level) {
-    if (node_level > num_layers) {
-      dec.Check(false, "HNSW node level above layer stack");
-      break;
-    }
-  }
+  dec.Check(entry_level == num_layers,
+            "HNSW entry level is not the top layer");
   if (!dec.ok()) return dec.status();
+  if (!dec.Check(level[entry] == entry_level,
+                 "HNSW entry point's level is not the top layer")) {
+    return dec.status();
+  }
+  std::uint64_t memberships = 0;
+  for (VectorId v = 0; v < n; ++v) {
+    if (level[v] > num_layers) {
+      dec.Fail("HNSW node level above layer stack");
+      return dec.status();
+    }
+    if (v >= inserted && level[v] > 0) {
+      dec.Fail("HNSW node " + std::to_string(v) +
+               " has a level but is not inserted");
+      return dec.status();
+    }
+    memberships += level[v];
+  }
 
   Graph base;
   GASS_RETURN_IF_ERROR(reader.OpenSection(prefix + "base", &buffer, &dec));
   GASS_RETURN_IF_ERROR(io::DecodeGraph(&dec, n, &base));
   if (!dec.ExpectEnd()) return dec.status();
 
-  std::vector<Graph> layers(num_layers);
+  // Every layer costs at least 8 + 4n bytes of payload, which bounds the
+  // blocks allocated below by the section's size.
   GASS_RETURN_IF_ERROR(reader.OpenSection(prefix + "layers", &buffer, &dec));
-  for (std::uint64_t l = 0; l < num_layers; ++l) {
-    GASS_RETURN_IF_ERROR(io::DecodeGraph(&dec, n, &layers[l]));
+  if (!dec.Check(num_layers <= dec.remaining() / (8 + 4 * n),
+                 "HNSW layer count exceeds the layers payload") ||
+      !dec.Check(memberships < core::LayerStack::kNoBlocks / (params_.m + 2),
+                 "HNSW layer stack exceeds 32-bit offsets")) {
+    return dec.status();
   }
+  core::LayerStack layers(n, params_.m);
+  for (VectorId v = 0; v < n; ++v) {
+    if (level[v] > 0) layers.AddNode(v, level[v]);
+  }
+  layers.ShrinkToFit();
+  GASS_RETURN_IF_ERROR(DecodeLayers(&dec, level, num_layers, &layers));
   if (!dec.ExpectEnd()) return dec.status();
 
   base_ = std::move(base);
@@ -351,10 +429,8 @@ core::Status HnswIndex::LoadSections(const io::SnapshotReader& reader,
 }
 
 std::size_t HnswIndex::IndexBytes() const {
-  std::size_t total =
-      base_.MemoryBytes() + level_.size() * sizeof(std::uint32_t);
-  for (const Graph& layer : layers_) total += layer.MemoryBytes();
-  return total;
+  return base_.MemoryBytes() + level_.size() * sizeof(std::uint32_t) +
+         layers_.MemoryBytes();
 }
 
 }  // namespace gass::methods

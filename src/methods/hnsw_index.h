@@ -23,6 +23,11 @@
 // BuildPrefix() indexes the first rows of a collection; Extend() inserts
 // further rows later without a rebuild, one node at a time (a batch of
 // one), which is what the live update path and WAL replay rely on.
+//
+// Layer 0 is a core::Graph; layers 1..top live in a core::LayerStack, so
+// only the nodes that reach an upper layer pay for its lists (M + 1 slots
+// per layer, the extra one for the overflow a reverse edge re-prunes).
+// Snapshots keep the dense per-layer format.
 
 #ifndef GASS_METHODS_HNSW_INDEX_H_
 #define GASS_METHODS_HNSW_INDEX_H_
@@ -31,6 +36,7 @@
 #include <memory>
 #include <vector>
 
+#include "core/layer_stack.h"
 #include "core/rng.h"
 #include "methods/graph_index.h"
 
@@ -69,7 +75,10 @@ class HnswIndex : public GraphIndex {
   const core::Graph& graph() const override { return base_; }
   std::size_t IndexBytes() const override;
 
-  std::size_t num_layers() const { return layers_.size(); }
+  std::size_t num_layers() const { return layers_.num_layers(); }
+  /// Layers 1..top; node v is on layers 1..level(v).
+  const core::LayerStack& layers() const { return layers_; }
+  std::uint32_t level(core::VectorId v) const { return level_[v]; }
   core::VectorId entry_point() const { return entry_; }
   std::size_t inserted_count() const { return inserted_; }
 
@@ -93,12 +102,6 @@ class HnswIndex : public GraphIndex {
   /// BuildPrefix on `threads` workers.
   BuildStats BuildPrefixOn(const core::Dataset& data, std::size_t count,
                            std::size_t threads);
-
-  /// Greedy descent from the entry point down to (exclusive) layer
-  /// `target` → returns the entry for layer `target`.
-  core::VectorId DescendToLayer(core::DistanceComputer& dc,
-                                const float* query, std::size_t from_layer,
-                                std::size_t target) const;
 
   /// Shared implementation behind both Search overloads; the descent is
   /// deterministic, so only the visited table varies per caller.
@@ -138,8 +141,8 @@ class HnswIndex : public GraphIndex {
   void InsertBatch(std::size_t end, std::vector<BuildWorker>& workers);
 
   HnswParams params_;
-  core::Graph base_;                 ///< Layer 0.
-  std::vector<core::Graph> layers_;  ///< Layers 1..top.
+  core::Graph base_;         ///< Layer 0.
+  core::LayerStack layers_;  ///< Layers 1..top, cap M.
   std::vector<std::uint32_t> level_;
   core::VectorId entry_ = 0;
   std::uint32_t entry_level_ = 0;

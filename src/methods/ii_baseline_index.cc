@@ -45,7 +45,7 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
   // levels drawn per Eq. 1, layer graphs grown alongside the base graph.
   const bool sn_build = params_.build_ss == seeds::Strategy::kSn;
   std::vector<std::uint32_t> level;
-  std::vector<Graph> layers;
+  core::LayerStack layers;
   VectorId sn_entry = 0;
   std::uint32_t sn_entry_level = 0;
   diversify::Params layer_prune;
@@ -55,14 +55,13 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
     level.resize(n, 0);
     const double denom = std::log(
         std::max(2.0, static_cast<double>(params_.sn_max_degree) / 2.0));
-    std::uint32_t top = 0;
+    layers = core::LayerStack(n, params_.sn_max_degree);
     for (VectorId v = 0; v < n; ++v) {
       double xi = rng.UniformDouble();
       if (xi < 1e-12) xi = 1e-12;
       level[v] = static_cast<std::uint32_t>(-std::log(xi) / denom);
-      top = std::max(top, level[v]);
+      if (level[v] > 0) layers.AddNode(v, level[v]);
     }
-    layers.assign(top == 0 ? 1 : top, Graph(n));
   }
 
   // Research-direction prototype: one IVF-PQ over the full dataset supplies
@@ -112,24 +111,8 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
     std::vector<VectorId> search_seeds;
     if (sn_build) {
       // Greedy descent through layers above this node's level.
-      VectorId current = sn_entry;
-      float current_dist = dc.ToQuery(data.Row(v), current);
-      for (std::uint32_t l = sn_entry_level; l-- > level[v];) {
-        if (l >= layers.size()) continue;
-        bool improved = true;
-        while (improved) {
-          improved = false;
-          for (VectorId u : layers[l].Neighbors(current)) {
-            const float d = dc.ToQuery(data.Row(v), u);
-            if (d < current_dist) {
-              current_dist = d;
-              current = u;
-              improved = true;
-            }
-          }
-        }
-      }
-      search_seeds.push_back(current);
+      search_seeds.push_back(layers.Descend(dc, data.Row(v), sn_entry,
+                                            sn_entry_level, level[v]));
     } else {
       search_seeds.push_back(0);
       for (std::size_t s = 1; s < params_.build_seeds; ++s) {
@@ -150,16 +133,15 @@ BuildStats IiBaselineIndex::Build(const core::Dataset& data) {
     // Grow the stacked layers for nodes with level >= 1.
     if (sn_build && level[v] > 0) {
       VectorId current = search_seeds.front();
-      const std::uint32_t node_level =
-          std::min<std::uint32_t>(level[v],
-                                  static_cast<std::uint32_t>(layers.size()));
-      for (std::uint32_t l = std::min(node_level, sn_entry_level); l-- > 0;) {
+      for (std::uint32_t l = std::min(level[v], sn_entry_level); l > 0; --l) {
         std::vector<Neighbor> layer_candidates = core::BeamSearch(
-            layers[l], dc, data.Row(v), {current}, params_.sn_max_degree * 2,
-            params_.sn_max_degree * 2, visited_.get());
+            layers.Layer(l), dc, data.Row(v), {current},
+            params_.sn_max_degree * 2, params_.sn_max_degree * 2,
+            visited_.get());
         const std::vector<Neighbor> layer_kept =
             diversify::Diversify(dc, v, layer_candidates, layer_prune);
-        InstallBidirectional(dc, &layers[l], v, layer_kept, layer_prune);
+        diversify::InstallBidirectional(dc, &layers, l, v, layer_kept,
+                                        layer_prune);
         if (!layer_candidates.empty()) current = layer_candidates.front().id;
       }
       if (level[v] > sn_entry_level) {

@@ -151,16 +151,18 @@ StackedNswLayers StackedNswLayers::Build(const core::Dataset& data,
       top_node = v;
     }
   }
-  stack.entry_point_ = top_node;
   if (top == 0) {
     // No hierarchical nodes at all (tiny datasets): keep a single layer
-    // containing just the entry point so Descend still works.
+    // containing just the top node so Descend still works.
     level[top_node] = 1;
-    top = 1;
   }
 
-  stack.layers_.assign(top, Graph(data.size()));
-  stack.member_.assign(top, std::vector<bool>(data.size(), false));
+  core::LayerStack& layers = stack.layers_;
+  layers = core::LayerStack(data.size(), params.max_degree);
+  for (VectorId v = 0; v < data.size(); ++v) {
+    if (level[v] > 0) layers.AddNode(v, level[v]);
+  }
+  layers.ShrinkToFit();
 
   diversify::Params prune;
   prune.strategy = diversify::Strategy::kRnd;
@@ -168,70 +170,30 @@ StackedNswLayers StackedNswLayers::Build(const core::Dataset& data,
 
   core::VisitedTable visited(data.size());
   VectorId entry = top_node;
-  std::uint32_t entry_level = top;
-  bool first = true;
+  std::uint32_t entry_level = 0;
   for (VectorId v = 0; v < data.size(); ++v) {
-    const std::uint32_t node_level = std::min(level[v], top);
+    const std::uint32_t node_level = level[v];
     if (node_level == 0) continue;
-    if (first) {
-      for (std::uint32_t l = 0; l < node_level; ++l) {
-        stack.member_[l][v] = true;
-      }
+    if (entry_level == 0) {
+      // The first hierarchical node only enters the stack.
       entry = v;
       entry_level = node_level;
-      first = false;
       continue;
     }
-    // Greedy descent through layers above the node's level.
-    VectorId current = entry;
-    float current_dist = dc->ToQuery(data.Row(v), current);
-    for (std::uint32_t l = entry_level; l-- > node_level;) {
-      bool improved = true;
-      while (improved) {
-        improved = false;
-        for (VectorId u : stack.layers_[l].Neighbors(current)) {
-          const float d = dc->ToQuery(data.Row(v), u);
-          if (d < current_dist) {
-            current_dist = d;
-            current = u;
-            improved = true;
-          }
-        }
-      }
-    }
-    // Insert into layers [0, node_level) with beam search + RND pruning.
-    for (std::uint32_t l = std::min(node_level, entry_level); l-- > 0;) {
-      std::vector<Neighbor> candidates = core::BeamSearch(
-          stack.layers_[l], *dc, data.Row(v), {current}, params.beam_width,
+    VectorId current =
+        layers.Descend(*dc, data.Row(v), entry, entry_level, node_level);
+    // Insert into layers min(level, entry level)..1 with beam search + RND
+    // pruning and bidirectional links, re-pruning overflowing lists.
+    for (std::uint32_t l = std::min(node_level, entry_level); l > 0; --l) {
+      const std::vector<Neighbor> candidates = core::BeamSearch(
+          layers.Layer(l), *dc, data.Row(v), {current}, params.beam_width,
           params.beam_width, &visited);
-      std::vector<Neighbor> kept =
-          diversify::Diversify(*dc, v, candidates, prune);
-      std::vector<VectorId>& list = stack.layers_[l].MutableNeighbors(v);
-      for (const Neighbor& nb : kept) {
-        list.push_back(nb.id);
-        // Bidirectional link with overflow re-pruning.
-        auto& back = stack.layers_[l].MutableNeighbors(nb.id);
-        back.push_back(v);
-        if (back.size() > params.max_degree) {
-          std::vector<Neighbor> back_candidates;
-          back_candidates.reserve(back.size());
-          for (VectorId u : back) {
-            back_candidates.emplace_back(u, dc->Between(nb.id, u));
-          }
-          std::sort(back_candidates.begin(), back_candidates.end());
-          std::vector<Neighbor> back_kept =
-              diversify::Diversify(*dc, nb.id, back_candidates, prune);
-          back.clear();
-          for (const Neighbor& b : back_kept) back.push_back(b.id);
-        }
-      }
+      diversify::InstallBidirectional(
+          *dc, &layers, l, v, diversify::Diversify(*dc, v, candidates, prune),
+          prune);
       if (!candidates.empty()) current = candidates.front().id;
-      stack.member_[l][v] = true;
     }
     if (node_level > entry_level) {
-      for (std::uint32_t l = entry_level; l < node_level; ++l) {
-        stack.member_[l][v] = true;
-      }
       entry = v;
       entry_level = node_level;
     }
@@ -242,57 +204,22 @@ StackedNswLayers StackedNswLayers::Build(const core::Dataset& data,
 
 VectorId StackedNswLayers::Descend(DistanceComputer& dc,
                                    const float* query) const {
-  VectorId current = entry_point_;
-  float current_dist = dc.ToQuery(query, current);
-  for (std::size_t l = layers_.size(); l-- > 0;) {
-    bool improved = true;
-    while (improved) {
-      improved = false;
-      // Prefetch-then-batch sweep; sequential scan keeps the greedy step
-      // and distance count identical to the one-at-a-time loop.
-      const auto& list = layers_[l].Neighbors(current);
-      const VectorId* ids = list.data();
-      const std::size_t degree = list.size();
-      constexpr std::size_t kChunk = DistanceComputer::kBatchChunk;
-      float dist[kChunk];
-      for (std::size_t i = 0; i < degree; i += kChunk) {
-        const std::size_t m = std::min(kChunk, degree - i);
-        for (std::size_t j = 0; j < m; ++j) dc.Prefetch(ids[i + j]);
-        dc.ToQueryBatch(query, ids + i, m, dist);
-        for (std::size_t j = 0; j < m; ++j) {
-          if (dist[j] < current_dist) {
-            current_dist = dist[j];
-            current = ids[i + j];
-            improved = true;
-          }
-        }
-      }
-    }
-  }
-  return current;
-}
-
-std::vector<VectorId> StackedNswLayers::Layer1Neighbors(VectorId node) const {
-  if (layers_.empty() || node >= layers_[0].size()) return {};
-  return layers_[0].Neighbors(node);
-}
-
-std::size_t StackedNswLayers::MemoryBytes() const {
-  std::size_t total = 0;
-  for (const Graph& layer : layers_) total += layer.MemoryBytes();
-  for (const auto& bits : member_) total += bits.size() / 8;
-  return total;
+  return layers_.Descend(dc, query, entry_point_, layers_.num_layers(), 0);
 }
 
 std::vector<VectorId> SnSeeds::Select(DistanceComputer& dc,
                                       const float* query, std::size_t count,
                                       Rng* rng) const {
   (void)rng;
+  count = std::max<std::size_t>(1, count);
   const VectorId node = layers_->Descend(dc, query);
-  std::vector<VectorId> seeds{node};
-  for (VectorId u : layers_->Layer1Neighbors(node)) {
-    if (seeds.size() >= std::max<std::size_t>(1, count)) break;
-    seeds.push_back(u);
+  std::size_t degree = 0;
+  const VectorId* ids = layers_->layers().Neighbors(1, node, &degree);
+  std::vector<VectorId> seeds;
+  seeds.reserve(std::min(count, degree + 1));
+  seeds.push_back(node);
+  for (std::size_t i = 0; i < degree && seeds.size() < count; ++i) {
+    seeds.push_back(ids[i]);
   }
   return seeds;
 }

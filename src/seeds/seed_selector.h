@@ -24,6 +24,7 @@
 #include "core/dataset.h"
 #include "core/distance.h"
 #include "core/graph.h"
+#include "core/layer_stack.h"
 #include "core/rng.h"
 #include "core/types.h"
 #include "hash/lsh.h"
@@ -190,7 +191,8 @@ class LshSeeds : public SeedSelector {
 /// The hierarchical NSW layer stack of HNSW (layers 1..top; layer 0 is the
 /// caller's base graph). Nodes draw their maximum layer from the
 /// geometric-like distribution of the paper's Eq. 1 and are inserted
-/// incrementally with RND-pruned neighbor lists.
+/// incrementally with RND-pruned neighbor lists, stored in a
+/// core::LayerStack.
 class StackedNswLayers {
  public:
   struct Params {
@@ -206,18 +208,14 @@ class StackedNswLayers {
   core::VectorId Descend(core::DistanceComputer& dc,
                          const float* query) const;
 
-  /// Neighbors of `node` at layer 1 (empty if the node is base-layer only).
-  std::vector<core::VectorId> Layer1Neighbors(core::VectorId node) const;
-
-  std::size_t num_layers() const { return layers_.size(); }
+  /// Layers 1..top; every node Descend returns is on layer 1.
+  const core::LayerStack& layers() const { return layers_; }
+  std::size_t num_layers() const { return layers_.num_layers(); }
   core::VectorId entry_point() const { return entry_point_; }
-  std::size_t MemoryBytes() const;
+  std::size_t MemoryBytes() const { return layers_.MemoryBytes(); }
 
  private:
-  // layers_[l] holds the layer-(l+1) adjacency over global node ids; nodes
-  // absent from a layer have empty lists and a false membership bit.
-  std::vector<core::Graph> layers_;
-  std::vector<std::vector<bool>> member_;
+  core::LayerStack layers_;
   core::VectorId entry_point_ = core::kInvalidVectorId;
 };
 

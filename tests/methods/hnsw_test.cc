@@ -9,6 +9,7 @@
 
 #include "eval/ground_truth.h"
 #include "eval/recall.h"
+#include "io/snapshot.h"
 #include "methods/fingerprint.h"
 #include "synth/generators.h"
 
@@ -264,6 +265,130 @@ TEST(HnswTest, SearchStatsPopulated) {
   EXPECT_GE(result.stats.elapsed_seconds, 0.0);
   ASSERT_FALSE(result.neighbors.empty());
   EXPECT_EQ(result.neighbors[0].id, 0u);  // Query is a dataset point.
+}
+
+TEST(HnswTest, LayersSectionMatchesDenseReferenceEncoding) {
+  const Dataset data = synth::UniformHypercube(3000, 8, 41);
+  HnswParams params;
+  params.m = 8;
+  params.seed = 3;
+  HnswIndex index(params);
+  index.Build(data);
+  ASSERT_GE(index.num_layers(), 2u);
+
+  const std::string path =
+      std::string(::testing::TempDir()) + "/hnsw_layers_section.gass";
+  ASSERT_TRUE(SaveIndex(index, path).ok());
+  io::SnapshotReader reader;
+  ASSERT_TRUE(io::SnapshotReader::Open(path, &reader).ok());
+  io::AlignedBytes saved;
+  ASSERT_TRUE(reader.ReadSection("layers", &saved).ok());
+  std::remove(path.c_str());
+
+  // One dense graph per layer, as the snapshot format was defined.
+  io::Encoder reference;
+  for (std::size_t l = 1; l <= index.num_layers(); ++l) {
+    core::Graph dense(data.size());
+    for (VectorId v = 0; v < data.size(); ++v) {
+      if (index.level(v) < l) continue;
+      std::size_t degree = 0;
+      const VectorId* ids = index.layers().Neighbors(l, v, &degree);
+      dense.SetNeighbors(v, std::vector<VectorId>(ids, ids + degree));
+    }
+    io::EncodeGraph(dense, &reference);
+  }
+  ASSERT_EQ(saved.size(), reference.size());
+  EXPECT_TRUE(std::equal(saved.begin(), saved.end(),
+                         reference.bytes().begin()));
+}
+
+TEST(HnswTest, ExtendGrowsANewTopLayer) {
+  const Dataset data = synth::UniformHypercube(1500, 8, 43);
+  HnswParams params;
+  params.m = 8;
+  params.seed = 11;
+  HnswIndex full(params);
+  full.Build(data);
+  // Levels are drawn in id order and the entry point is the first node to
+  // reach the top level, so every node before it sits below that layer.
+  const VectorId first_top = full.entry_point();
+  ASSERT_GE(first_top, 50u);
+
+  HnswIndex streamed(params);
+  streamed.BuildPrefix(data, first_top);
+  const std::size_t prefix_layers = streamed.num_layers();
+  EXPECT_LT(prefix_layers, full.num_layers());
+  streamed.Extend(data.size());
+  EXPECT_EQ(streamed.num_layers(), full.num_layers());
+  EXPECT_EQ(streamed.entry_point(), full.entry_point());
+
+  for (VectorId v = 0; v < data.size(); ++v) {
+    ASSERT_EQ(streamed.level(v), full.level(v)) << v;
+    for (std::size_t l = 1; l <= streamed.level(v); ++l) {
+      std::size_t degree = 0;
+      const VectorId* ids = streamed.layers().Neighbors(l, v, &degree);
+      EXPECT_LE(degree, params.m);
+      for (std::size_t i = 0; i < degree; ++i) {
+        EXPECT_NE(ids[i], v);
+        EXPECT_GE(streamed.level(ids[i]), l) << "layer " << l;
+      }
+    }
+  }
+  // The first layer that appeared during Extend links its members.
+  const std::size_t new_layer = prefix_layers + 1;
+  std::size_t members = 0;
+  std::size_t links = 0;
+  for (VectorId v = 0; v < data.size(); ++v) {
+    if (streamed.level(v) < new_layer) continue;
+    std::size_t degree = 0;
+    streamed.layers().Neighbors(new_layer, v, &degree);
+    ++members;
+    links += degree;
+  }
+  ASSERT_GE(members, 2u);
+  EXPECT_GT(links, 0u);
+
+  const Dataset queries = synth::UniformHypercube(25, 8, 44);
+  const auto truth = eval::BruteForceKnn(data, queries, 10, 1);
+  SearchParams search;
+  search.k = 10;
+  search.beam_width = 80;
+  std::vector<std::vector<core::Neighbor>> streamed_results, full_results;
+  for (VectorId q = 0; q < queries.size(); ++q) {
+    streamed_results.push_back(
+        streamed.Search(queries.Row(q), search).neighbors);
+    full_results.push_back(full.Search(queries.Row(q), search).neighbors);
+  }
+  const double streamed_recall = eval::MeanRecall(streamed_results, truth, 10);
+  EXPECT_GE(streamed_recall, 0.9);
+  EXPECT_NEAR(streamed_recall, eval::MeanRecall(full_results, truth, 10),
+              0.05);
+  const auto self = streamed.Search(data.Row(data.size() - 1), search);
+  ASSERT_FALSE(self.neighbors.empty());
+  EXPECT_EQ(self.neighbors[0].id, data.size() - 1);
+}
+
+TEST(HnswTest, IndexBytesCountUpperLayerMembersOnly) {
+  const Dataset data = synth::UniformHypercube(4000, 8, 47);
+  HnswParams params;
+  params.m = 16;
+  HnswIndex index(params);
+  const BuildStats stats = index.Build(data);
+  EXPECT_EQ(stats.index_bytes, index.IndexBytes());
+
+  std::size_t memberships = 0;
+  for (VectorId v = 0; v < data.size(); ++v) memberships += index.level(v);
+  ASSERT_GT(memberships, 0u);
+  const std::size_t n = data.size();
+  const std::size_t word = sizeof(std::uint32_t);
+  // Level table, one pool offset per node, one [count | M + 1 ids] block
+  // per (node, upper layer).
+  const std::size_t upper = n * word + n * word +
+                            memberships * (params.m + 2) * word;
+  EXPECT_LE(index.IndexBytes(), index.graph().MemoryBytes() + upper);
+  // Less than the empty list headers of a single dense layer.
+  EXPECT_LT(index.IndexBytes() - index.graph().MemoryBytes(),
+            n * sizeof(std::vector<VectorId>));
 }
 
 }  // namespace
