@@ -24,6 +24,9 @@
 
 namespace gass::core {
 
+/// Expansions between deadline polls (see BeamSearch).
+inline constexpr std::uint64_t kDeadlineCheckHops = 32;
+
 namespace internal {
 
 /// Result emission shared by BeamSearch overloads: the pool's best k
@@ -64,39 +67,43 @@ inline void ExpandNeighbors(const LayerView& layer, VectorId v,
   *out = layer.Neighbors(v, degree);
 }
 
+/// Requests the first cache line of v's adjacency list. Address-only: each
+/// overload reads what locates the list (a Graph header, a FlatGraph offset,
+/// a LayerStack offset), never the list itself.
+inline void PrefetchList(const void* list) {
+#if defined(__GNUC__) || defined(__clang__)
+  __builtin_prefetch(list, /*rw=*/0, /*locality=*/3);
+#else
+  (void)list;
+#endif
+}
+inline void PrefetchNeighbors(const Graph& graph, VectorId v) {
+  PrefetchList(graph.Neighbors(v).data());
+}
+inline void PrefetchNeighbors(const FlatGraph& graph, VectorId v) {
+  std::size_t degree = 0;
+  PrefetchList(graph.Neighbors(v, &degree));
+}
+inline void PrefetchNeighbors(const LayerView& layer, VectorId v) {
+  PrefetchList(layer.Block(v));
+}
+
 /// Neighbors evaluated per batched kernel call during expansion.
 inline constexpr std::size_t kExpandBatch = DistanceComputer::kBatchChunk;
 
-}  // namespace internal
+inline constexpr float kNoPruneBound = 3.402823466e38f;
 
-/// Runs Algorithm 1 over `graph` (Graph, FlatGraph or one LayerStack
-/// layer).
-///
-/// `seeds` warm the candidate pool (the first seed acts as the entry node —
-/// it is simply the first candidate expanded, since the pool is sorted by
-/// distance the distinction only matters for instrumentation). `beam_width`
-/// is L (clamped up to k). `visited` must cover the graph's vertex range and
-/// is re-epoched here. Distance computations are counted on `dc`; expanded
-/// hops on `stats` when provided.
-///
-/// `deadline`, when given, is polled every kDeadlineCheckHops expansions;
-/// on expiry the search stops and returns its best-so-far answers (a
-/// partial result), recording the cutoff in `stats->deadline_expiries`.
-///
-/// `tombstones`, when given, filters logically deleted ids out of the
-/// returned results (traversal is unaffected; see internal::EmitTopK).
-inline constexpr std::uint64_t kDeadlineCheckHops = 32;
-
+/// The one expansion loop behind BeamSearch and BeamSearchCollect; appends
+/// every evaluated vertex to `evaluated` in visit order when it is non-null.
 template <typename GraphT>
-std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
-                                 const float* query,
-                                 const std::vector<VectorId>& seeds,
-                                 std::size_t k, std::size_t beam_width,
-                                 VisitedTable* visited,
-                                 SearchStats* stats = nullptr,
-                                 float prune_bound = 3.402823466e38f,
-                                 const Deadline* deadline = nullptr,
-                                 const TombstoneSet* tombstones = nullptr) {
+std::vector<Neighbor> Walk(const GraphT& graph, DistanceComputer& dc,
+                           const float* query,
+                           const std::vector<VectorId>& seeds, std::size_t k,
+                           std::size_t beam_width, VisitedTable* visited,
+                           std::vector<Neighbor>* evaluated,
+                           SearchStats* stats, float prune_bound,
+                           const Deadline* deadline,
+                           const TombstoneSet* tombstones) {
   const std::size_t width = beam_width < k ? k : beam_width;
   CandidatePool pool(width);
   pool.SetPruneBound(prune_bound);
@@ -104,7 +111,9 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
 
   for (VectorId seed : seeds) {
     if (!visited->TryVisit(seed)) continue;
-    pool.Insert(Neighbor(seed, dc.ToQuery(query, seed)));
+    const float d = dc.ToQuery(query, seed);
+    if (evaluated != nullptr) evaluated->push_back(Neighbor(seed, d));
+    pool.Insert(Neighbor(seed, d));
   }
 
   std::uint64_t hops = 0;
@@ -121,6 +130,12 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
     pool.MarkExplored(next);
     ++hops;
 
+    // Software pipeline: request the likeliest next hop's list (the next
+    // unexplored candidate) now, so it arrives while v's rows are scored. A
+    // closer insert may pre-empt the guess, which only wastes the request.
+    const std::size_t guess = pool.FirstUnexplored();
+    if (guess < pool.size()) PrefetchNeighbors(graph, pool[guess].id);
+
     // Prefetch-then-batch expansion: gather the unvisited out-neighbors
     // (prefetching each row as it is claimed), evaluate the chunk with one
     // batched kernel call, then filter/insert sequentially. The evaluated
@@ -128,13 +143,13 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
     // one-at-a-time loop — only the memory/compute overlap changes.
     const VectorId* neighbors = nullptr;
     std::size_t degree = 0;
-    internal::ExpandNeighbors(graph, v, &neighbors, &degree);
-    VectorId chunk[internal::kExpandBatch];
-    float dist[internal::kExpandBatch];
+    ExpandNeighbors(graph, v, &neighbors, &degree);
+    VectorId chunk[kExpandBatch];
+    float dist[kExpandBatch];
     std::size_t i = 0;
     while (i < degree) {
       std::size_t m = 0;
-      for (; i < degree && m < internal::kExpandBatch; ++i) {
+      for (; i < degree && m < kExpandBatch; ++i) {
         const VectorId u = neighbors[i];
         if (!visited->TryVisit(u)) continue;
         dc.Prefetch(u);
@@ -144,8 +159,10 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
       prefetched += m;
       dc.ToQueryBatch(query, chunk, m, dist);
       for (std::size_t j = 0; j < m; ++j) {
-        if (dist[j] >= pool.WorstDistance()) continue;
-        pool.Insert(Neighbor(chunk[j], dist[j]));
+        const Neighbor nb(chunk[j], dist[j]);
+        if (evaluated != nullptr) evaluated->push_back(nb);
+        if (nb.distance >= pool.WorstDistance()) continue;
+        pool.Insert(nb);
       }
     }
   }
@@ -154,7 +171,39 @@ std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
     stats->hops += hops;
     stats->prefetches += prefetched;
   }
-  return internal::EmitTopK(pool, k, tombstones);
+  return EmitTopK(pool, k, tombstones);
+}
+
+}  // namespace internal
+
+/// Runs Algorithm 1 over `graph` (Graph, FlatGraph or one LayerStack
+/// layer).
+///
+/// `seeds` warm the candidate pool (the first seed acts as the entry node —
+/// it is simply the first candidate expanded, since the pool is sorted by
+/// distance the distinction only matters for instrumentation). `beam_width`
+/// is L (clamped up to k). `visited` must cover the graph's vertex range and
+/// is re-epoched here. Distance computations are counted on `dc`; expanded
+/// hops and row prefetches on `stats` when provided.
+///
+/// `deadline`, when given, is polled every kDeadlineCheckHops expansions;
+/// on expiry the search stops and returns its best-so-far answers (a
+/// partial result), recording the cutoff in `stats->deadline_expiries`.
+///
+/// `tombstones`, when given, filters logically deleted ids out of the
+/// returned results (traversal is unaffected; see internal::EmitTopK).
+template <typename GraphT>
+std::vector<Neighbor> BeamSearch(const GraphT& graph, DistanceComputer& dc,
+                                 const float* query,
+                                 const std::vector<VectorId>& seeds,
+                                 std::size_t k, std::size_t beam_width,
+                                 VisitedTable* visited,
+                                 SearchStats* stats = nullptr,
+                                 float prune_bound = internal::kNoPruneBound,
+                                 const Deadline* deadline = nullptr,
+                                 const TombstoneSet* tombstones = nullptr) {
+  return internal::Walk(graph, dc, query, seeds, k, beam_width, visited,
+                        nullptr, stats, prune_bound, deadline, tombstones);
 }
 
 /// BeamSearch variant that also returns every vertex whose distance was
@@ -169,59 +218,10 @@ std::vector<Neighbor> BeamSearchCollect(const GraphT& graph,
                                         VisitedTable* visited,
                                         std::vector<Neighbor>* evaluated,
                                         SearchStats* stats = nullptr) {
-  const std::size_t width = beam_width < k ? k : beam_width;
-  CandidatePool pool(width);
-  visited->NewEpoch();
   evaluated->clear();
-
-  for (VectorId seed : seeds) {
-    if (!visited->TryVisit(seed)) continue;
-    const float d = dc.ToQuery(query, seed);
-    evaluated->push_back(Neighbor(seed, d));
-    pool.Insert(Neighbor(seed, d));
-  }
-
-  std::uint64_t hops = 0;
-  std::uint64_t prefetched = 0;
-  for (;;) {
-    const std::size_t next = pool.FirstUnexplored();
-    if (next == pool.size()) break;
-    const VectorId v = pool[next].id;
-    pool.MarkExplored(next);
-    ++hops;
-
-    // Same prefetch-then-batch expansion as BeamSearch; `evaluated` is
-    // appended in chunk order, which equals the original visit order.
-    const VectorId* neighbors = nullptr;
-    std::size_t degree = 0;
-    internal::ExpandNeighbors(graph, v, &neighbors, &degree);
-    VectorId chunk[internal::kExpandBatch];
-    float dist[internal::kExpandBatch];
-    std::size_t i = 0;
-    while (i < degree) {
-      std::size_t m = 0;
-      for (; i < degree && m < internal::kExpandBatch; ++i) {
-        const VectorId u = neighbors[i];
-        if (!visited->TryVisit(u)) continue;
-        dc.Prefetch(u);
-        chunk[m++] = u;
-      }
-      if (m == 0) continue;
-      prefetched += m;
-      dc.ToQueryBatch(query, chunk, m, dist);
-      for (std::size_t j = 0; j < m; ++j) {
-        evaluated->push_back(Neighbor(chunk[j], dist[j]));
-        if (dist[j] >= pool.WorstDistance()) continue;
-        pool.Insert(Neighbor(chunk[j], dist[j]));
-      }
-    }
-  }
-
-  if (stats != nullptr) {
-    stats->hops += hops;
-    stats->prefetches += prefetched;
-  }
-  return pool.TopK(k);
+  return internal::Walk(graph, dc, query, seeds, k, beam_width, visited,
+                        evaluated, stats, internal::kNoPruneBound, nullptr,
+                        nullptr);
 }
 
 }  // namespace gass::core

@@ -43,6 +43,8 @@ class LayerView {
 
   /// Pointer to v's ids on this layer; degree via out-parameter.
   inline const VectorId* Neighbors(VectorId v, std::size_t* degree) const;
+  /// Address of v's block on this layer (see LayerStack::Block).
+  inline const std::uint32_t* Block(VectorId v) const;
 
  private:
   const LayerStack* stack_;
@@ -84,6 +86,15 @@ class LayerStack {
 
   LayerView Layer(std::size_t layer) const { return LayerView(*this, layer); }
 
+  /// Address of v's `[count | ids]` block on `layer`, computed from the
+  /// offset table alone: the block itself is not read, so a prefetch can
+  /// request it before anything waits on it.
+  const std::uint32_t* Block(std::size_t layer, VectorId v) const {
+    GASS_DCHECK(layer >= 1 && layer <= num_layers_);
+    GASS_DCHECK(v < offset_.size() && offset_[v] != kNoBlocks);
+    return pool_.data() + offset_[v] + (layer - 1) * BlockWords();
+  }
+
   /// Replaces v's list on `layer` with ids[0, count); count <= cap.
   void SetNeighbors(std::size_t layer, VectorId v, const VectorId* ids,
                     std::size_t count);
@@ -113,11 +124,6 @@ class LayerStack {
  private:
   std::size_t BlockWords() const { return cap_ + 2; }
 
-  const std::uint32_t* Block(std::size_t layer, VectorId v) const {
-    GASS_DCHECK(layer >= 1 && layer <= num_layers_);
-    GASS_DCHECK(v < offset_.size() && offset_[v] != kNoBlocks);
-    return pool_.data() + offset_[v] + (layer - 1) * BlockWords();
-  }
   std::uint32_t* MutableBlock(std::size_t layer, VectorId v) {
     return const_cast<std::uint32_t*>(Block(layer, v));
   }
@@ -131,6 +137,10 @@ class LayerStack {
 inline const VectorId* LayerView::Neighbors(VectorId v,
                                             std::size_t* degree) const {
   return stack_->Neighbors(layer_, v, degree);
+}
+
+inline const std::uint32_t* LayerView::Block(VectorId v) const {
+  return stack_->Block(layer_, v);
 }
 
 }  // namespace gass::core

@@ -1,6 +1,8 @@
 #include "core/beam_search.h"
 
 #include <algorithm>
+#include <limits>
+#include <string>
 
 #include <gtest/gtest.h>
 
@@ -170,8 +172,8 @@ TEST(BeamSearchTest, PruneBoundCutsCostWithoutChangingBetterAnswers) {
 
 // The pre-batching expansion loop, kept as an executable reference: one
 // TryVisit / ToQuery / filter / Insert per neighbor. The batched search must
-// reproduce its neighbor IDs, bitwise distances, evaluation order, and
-// distance count exactly.
+// reproduce its neighbor IDs, bitwise distances, evaluation order, distance
+// count, hops and row prefetches exactly.
 std::vector<Neighbor> ReferenceBeamSearch(const Graph& graph,
                                           DistanceComputer& dc,
                                           const float* query,
@@ -179,7 +181,8 @@ std::vector<Neighbor> ReferenceBeamSearch(const Graph& graph,
                                           std::size_t k,
                                           std::size_t beam_width,
                                           VisitedTable* visited,
-                                          std::vector<Neighbor>* evaluated) {
+                                          std::vector<Neighbor>* evaluated,
+                                          SearchStats* stats = nullptr) {
   const std::size_t width = beam_width < k ? k : beam_width;
   CandidatePool pool(width);
   visited->NewEpoch();
@@ -194,8 +197,11 @@ std::vector<Neighbor> ReferenceBeamSearch(const Graph& graph,
     if (next == pool.size()) break;
     const VectorId v = pool[next].id;
     pool.MarkExplored(next);
+    if (stats != nullptr) stats->hops += 1;
     for (const VectorId u : graph.Neighbors(v)) {
       if (!visited->TryVisit(u)) continue;
+      // Every row claimed during expansion is one row prefetch.
+      if (stats != nullptr) stats->prefetches += 1;
       const float d = dc.ToQuery(query, u);
       if (evaluated != nullptr) evaluated->push_back(Neighbor(u, d));
       if (d >= pool.WorstDistance()) continue;
@@ -257,6 +263,155 @@ TEST(BeamSearchCollectTest, BatchedCollectMatchesPerNeighborReference) {
     }
     EXPECT_EQ(dc_batched.count(), dc_ref.count());
     EXPECT_EQ(eval_batched.size(), dc_batched.count());
+  }
+}
+
+// Seeded random graph: each list holds up to `cap` distinct ids, never v.
+Graph RandomGraph(std::size_t n, std::size_t cap, std::uint64_t seed) {
+  Rng rng(seed);
+  Graph graph(n);
+  for (VectorId v = 0; v < n; ++v) {
+    const std::size_t tries = rng.UniformInt(cap + 1);
+    for (std::size_t i = 0; i < tries; ++i) {
+      const auto u = static_cast<VectorId>(rng.UniformInt(n));
+      if (u != v) graph.AddEdgeUnique(v, u);
+    }
+  }
+  return graph;
+}
+
+// The same lists as layer 1 of a LayerStack whose nodes all have level 1.
+LayerStack SingleLayerStack(const Graph& graph, std::size_t cap) {
+  LayerStack stack(graph.size(), cap);
+  for (VectorId v = 0; v < graph.size(); ++v) {
+    stack.AddNode(v, 1);
+    const std::vector<VectorId>& list = graph.Neighbors(v);
+    stack.SetNeighbors(1, v, list.data(), list.size());
+  }
+  return stack;
+}
+
+// Everything one search reports: answers, evaluation trace and counters.
+struct Walked {
+  std::vector<Neighbor> found;
+  std::vector<Neighbor> evaluated;
+  SearchStats stats;
+  std::uint64_t dists = 0;
+};
+
+void ExpectSameWalk(const Walked& got, const Walked& want,
+                    const std::string& what) {
+  ASSERT_EQ(got.found.size(), want.found.size()) << what;
+  for (std::size_t i = 0; i < got.found.size(); ++i) {
+    EXPECT_EQ(got.found[i].id, want.found[i].id) << what << " #" << i;
+    EXPECT_EQ(got.found[i].distance, want.found[i].distance) << what;
+  }
+  ASSERT_EQ(got.evaluated.size(), want.evaluated.size()) << what;
+  for (std::size_t i = 0; i < got.evaluated.size(); ++i) {
+    EXPECT_EQ(got.evaluated[i].id, want.evaluated[i].id) << what << " #" << i;
+    EXPECT_EQ(got.evaluated[i].distance, want.evaluated[i].distance) << what;
+  }
+  EXPECT_EQ(got.dists, want.dists) << what;
+  EXPECT_EQ(got.stats.hops, want.stats.hops) << what;
+  EXPECT_EQ(got.stats.prefetches, want.stats.prefetches) << what;
+  EXPECT_EQ(got.stats.deadline_expiries, want.stats.deadline_expiries)
+      << what;
+}
+
+struct WalkArgs {
+  const Dataset* data;
+  const float* query;
+  std::vector<VectorId> seeds;
+  std::size_t beam;
+  bool collect = false;
+  const Deadline* deadline = nullptr;
+  const TombstoneSet* tombstones = nullptr;
+};
+
+template <typename GraphT>
+Walked RunWalk(const GraphT& graph, const WalkArgs& a) {
+  DistanceComputer dc(*a.data);
+  VisitedTable visited(a.data->size());
+  Walked w;
+  if (a.collect) {
+    w.found = BeamSearchCollect(graph, dc, a.query, a.seeds, 10, a.beam,
+                                &visited, &w.evaluated, &w.stats);
+  } else {
+    w.found = BeamSearch(graph, dc, a.query, a.seeds, 10, a.beam, &visited,
+                         &w.stats, std::numeric_limits<float>::max(),
+                         a.deadline, a.tombstones);
+  }
+  w.dists = dc.count();
+  return w;
+}
+
+// Graph, FlatGraph and a LayerStack layer holding the same lists walk the
+// same way through both entry points: the layouts (and the next-hop list
+// prefetch each one issues) change when memory is requested, never what
+// is evaluated, in what order, or what is counted.
+TEST(BeamSearchLayoutTest, GraphFlatGraphAndLayerStackWalkIdentically) {
+  constexpr std::size_t kN = 500;
+  constexpr std::size_t kCap = 12;
+  for (const std::uint64_t seed : {21u, 22u, 23u}) {
+    Dataset data(kN, 8);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < kN * 8; ++i) {
+      data.mutable_data()[i] = static_cast<float>(rng.Normal());
+    }
+    const Graph graph = RandomGraph(kN, kCap, seed);
+    const FlatGraph flat = FlatGraph::FromGraph(graph);
+    const LayerStack stack = SingleLayerStack(graph, kCap);
+    TombstoneSet tombstones;
+    for (VectorId v = 0; v < kN; v += 3) tombstones.Insert(v);
+    const Deadline expired = Deadline::Expired();
+
+    for (VectorId q = 0; q < 12; ++q) {
+      for (const std::size_t beam : {8u, 40u}) {
+        WalkArgs args{&data, data.Row(q),
+                      {static_cast<VectorId>((q * 37 + 5) % kN), q}, beam};
+        const std::string what = "seed " + std::to_string(seed) + " q " +
+                                 std::to_string(q) + " beam " +
+                                 std::to_string(beam);
+        for (const bool collect : {false, true}) {
+          args.collect = collect;
+          Walked reference;
+          VisitedTable visited(kN);
+          DistanceComputer dc(data);
+          reference.found = ReferenceBeamSearch(
+              graph, dc, args.query, args.seeds, 10, beam, &visited,
+              collect ? &reference.evaluated : nullptr, &reference.stats);
+          reference.dists = dc.count();
+          const std::string entry = what + (collect ? " collect" : " search");
+          ExpectSameWalk(RunWalk(graph, args), reference, entry + " Graph");
+          ExpectSameWalk(RunWalk(flat, args), reference, entry + " FlatGraph");
+          ExpectSameWalk(RunWalk(stack.Layer(1), args), reference,
+                         entry + " LayerStack");
+        }
+
+        // Tombstones only filter the answers: the walk is the reference's.
+        args.collect = false;
+        args.tombstones = &tombstones;
+        const Walked filtered = RunWalk(graph, args);
+        ExpectSameWalk(RunWalk(flat, args), filtered, what + " tombstones");
+        ExpectSameWalk(RunWalk(stack.Layer(1), args), filtered,
+                       what + " tombstones");
+        args.tombstones = nullptr;
+        EXPECT_EQ(filtered.stats.hops, RunWalk(graph, args).stats.hops) << what;
+        for (const Neighbor& nb : filtered.found) {
+          EXPECT_FALSE(tombstones.Contains(nb.id)) << what;
+        }
+
+        // An expired deadline stops before the first expansion.
+        args.deadline = &expired;
+        const Walked cut = RunWalk(graph, args);
+        EXPECT_EQ(cut.stats.deadline_expiries, 1u) << what;
+        EXPECT_EQ(cut.stats.hops, 0u) << what;
+        EXPECT_EQ(cut.stats.prefetches, 0u) << what;
+        EXPECT_EQ(cut.dists, cut.found.size()) << what;
+        ExpectSameWalk(RunWalk(flat, args), cut, what + " expired");
+        ExpectSameWalk(RunWalk(stack.Layer(1), args), cut, what + " expired");
+      }
+    }
   }
 }
 

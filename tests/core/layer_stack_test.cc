@@ -56,6 +56,12 @@ TEST(LayerStackTest, OffsetsForMixedLevels) {
   EXPECT_EQ(degree, 0u);
   EXPECT_EQ(stack.Neighbors(3, 2, &degree)[0], 1u);
   EXPECT_EQ(degree, 1u);
+
+  // Block addresses (what a prefetch requests) follow from the offsets
+  // alone: a node's blocks are consecutive, and the ids follow the count.
+  EXPECT_EQ(stack.Block(2, 1), stack.Block(1, 1) + 5);
+  EXPECT_EQ(stack.Block(1, 1) + 1, stack.Neighbors(1, 1, &degree));
+  EXPECT_EQ(stack.Layer(3).Block(2), stack.Block(3, 2));
 }
 
 TEST(LayerStackTest, OverflowSlotHoldsOneExtraId) {

@@ -56,8 +56,8 @@ void WriteFile(const std::string& path,
 
 // One scripted op of the deterministic workload.
 struct Op {
-  bool is_insert;
-  core::VectorId delete_id;       // Deletes only.
+  bool is_insert = false;
+  core::VectorId delete_id = core::kInvalidVectorId;  // Deletes only.
   std::vector<float> vec;         // Inserts only.
   std::uint64_t record_bytes() const {
     return io::kWalRecordHeaderBytes + 8 +
