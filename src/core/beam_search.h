@@ -136,10 +136,11 @@ std::vector<Neighbor> Walk(const GraphT& graph, DistanceComputer& dc,
     const std::size_t guess = pool.FirstUnexplored();
     if (guess < pool.size()) PrefetchNeighbors(graph, pool[guess].id);
 
-    // Prefetch-then-batch expansion: gather the unvisited out-neighbors
-    // (prefetching each row as it is claimed), evaluate the chunk with one
-    // batched kernel call, then filter/insert sequentially. The evaluated
-    // set, distance values, count, and insert order are all identical to the
+    // Prefetch-then-batch expansion: claim the unvisited out-neighbors
+    // (branch-free: every id is stored, the count advances only for a fresh
+    // one), prefetch the claimed rows, evaluate the chunk with one batched
+    // kernel call, then filter/insert sequentially. The evaluated set,
+    // distance values, count, and insert order are all identical to the
     // one-at-a-time loop — only the memory/compute overlap changes.
     const VectorId* neighbors = nullptr;
     std::size_t degree = 0;
@@ -151,11 +152,11 @@ std::vector<Neighbor> Walk(const GraphT& graph, DistanceComputer& dc,
       std::size_t m = 0;
       for (; i < degree && m < kExpandBatch; ++i) {
         const VectorId u = neighbors[i];
-        if (!visited->TryVisit(u)) continue;
-        dc.Prefetch(u);
-        chunk[m++] = u;
+        chunk[m] = u;
+        m += visited->TryVisit(u);
       }
       if (m == 0) continue;
+      for (std::size_t j = 0; j < m; ++j) dc.Prefetch(chunk[j]);
       prefetched += m;
       dc.ToQueryBatch(query, chunk, m, dist);
       for (std::size_t j = 0; j < m; ++j) {

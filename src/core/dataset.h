@@ -22,12 +22,13 @@ namespace gass::core {
 ///
 /// Alignment contract: `data()` (and therefore `Row(0)`) is always aligned
 /// to kAlignment (64) bytes, including after move, Clone, Prefix, Select,
-/// Append, and the fvecs/bvecs readers. Rows are packed at a stride of
-/// exactly `dim()` floats, so every row is 64-byte-aligned precisely when
-/// `dim()` is a multiple of 16; for other dimensions only the buffer start
-/// is guaranteed. The SIMD kernels (src/core/simd/) use unaligned loads and
-/// rely on the contract only for cache-line economy, so queries from
-/// arbitrary caller memory remain legal. See docs/PERF.md.
+/// Append, and the fvecs/bvecs readers; from 2 MiB up it is 2 MiB-aligned
+/// and on transparent huge pages (see AlignedAllocator). Rows are packed at
+/// a stride of exactly `dim()` floats, so every row is 64-byte-aligned
+/// precisely when `dim()` is a multiple of 16; for other dimensions only
+/// the buffer start is guaranteed. The SIMD kernels (src/core/simd/) use
+/// unaligned loads and rely on the contract only for cache-line economy,
+/// so queries from arbitrary caller memory remain legal. See docs/PERF.md.
 ///
 /// Dataset is movable but not copyable (copies of multi-GB buffers should be
 /// explicit via Clone()).

@@ -13,10 +13,10 @@ namespace gass::core {
 
 /// Tracks which vertices a traversal has touched.
 ///
-/// Instead of clearing an n-bit array per query, each search bumps an epoch;
-/// a vertex is "visited" when its stamp equals the current epoch. Reset is
-/// O(1) amortized (a full clear happens only on epoch wrap, every ~2^32
-/// searches — long-running serving processes do reach it).
+/// Instead of clearing an n-byte array per query, each search bumps an
+/// epoch; a vertex is "visited" when its stamp equals the current epoch.
+/// One-byte stamps keep the table cache-resident beside the rows a walk
+/// reads, for a full clear every 255 searches (kMaxEpoch).
 ///
 /// Not thread-safe: concurrent searches use one table per thread (see
 /// methods::SearchContext).
@@ -42,10 +42,12 @@ class VisitedTable {
   void MarkVisited(VectorId id) { stamps_[id] = epoch_; }
 
   /// Marks visited; returns true if this was the first visit this epoch.
+  /// Branch-free (the store rewrites an equal stamp on a repeat), so a walk
+  /// can advance a count by the result.
   bool TryVisit(VectorId id) {
-    if (stamps_[id] == epoch_) return false;
+    const bool fresh = stamps_[id] != epoch_;
     stamps_[id] = epoch_;
-    return true;
+    return fresh;
   }
 
   std::size_t size() const { return stamps_.size(); }
@@ -53,16 +55,16 @@ class VisitedTable {
   std::uint32_t epoch() const { return epoch_; }
 
   /// Jumps the counter to just below the wrap point so tests can exercise
-  /// the overflow reset without 2^32 NewEpoch() calls. Existing stamps are
-  /// left untouched (they become stale, exactly as after that many real
+  /// the overflow reset without kMaxEpoch NewEpoch() calls. Existing stamps
+  /// are left untouched (they become stale, exactly as after that many real
   /// epochs with no visits).
   void JumpToEpochForTesting(std::uint32_t epoch) { epoch_ = epoch; }
 
-  static constexpr std::uint32_t kMaxEpoch = 0xFFFFFFFFu;
+  static constexpr std::uint32_t kMaxEpoch = 0xFFu;
 
  private:
-  std::vector<std::uint32_t> stamps_;
-  std::uint32_t epoch_;
+  std::vector<std::uint8_t> stamps_;
+  std::uint8_t epoch_;
 };
 
 }  // namespace gass::core

@@ -19,6 +19,35 @@ using core::Graph;
 using core::Neighbor;
 using core::VectorId;
 
+namespace {
+
+using EdgePairs = std::vector<std::pair<VectorId, VectorId>>;
+
+// Orders (target, source) pairs, all with target < `targets`, by target and
+// keeps each target's sources in arrival order. The pairs arrive in
+// ascending source order, so this is std::sort's order, reached by one
+// counting pass in O(pairs + targets). Below targets / 16 pairs std::sort
+// is faster (one core, 32 random targets per source: even at 10k targets,
+// between targets / 64 and / 32 at 100k), which also keeps Extend's
+// one-node batches off the O(targets) count.
+void SortByTarget(std::size_t targets, EdgePairs* pairs) {
+  if (pairs->size() * 16 < targets) {
+    std::sort(pairs->begin(), pairs->end());
+    return;
+  }
+  std::vector<std::size_t> start(targets + 1, 0);
+  for (const auto& pair : *pairs) {
+    GASS_DCHECK(pair.first < targets);
+    ++start[pair.first + 1];
+  }
+  for (std::size_t t = 0; t < targets; ++t) start[t + 1] += start[t];
+  EdgePairs sorted(pairs->size());
+  for (const auto& pair : *pairs) sorted[start[pair.first]++] = pair;
+  *pairs = std::move(sorted);
+}
+
+}  // namespace
+
 std::uint32_t HnswIndex::DrawLevel() {
   const double denom =
       std::log(std::max(2.0, static_cast<double>(params_.m) / 2.0));
@@ -86,7 +115,7 @@ void HnswIndex::InsertBatch(std::size_t end,
     // only on its sorted sources.
     diversify::Params prune;
     prune.strategy = diversify::Strategy::kRnd;
-    std::vector<std::pair<VectorId, VectorId>> reverse;  // (target, source)
+    EdgePairs reverse;  // (target, source), sources ascending.
     std::vector<std::size_t> runs;
     for (std::size_t l = 0; l <= layers_.num_layers(); ++l) {
       reverse.clear();
@@ -104,7 +133,7 @@ void HnswIndex::InsertBatch(std::size_t end,
       // Every node's links span layers 0..top, so the first empty layer
       // ends the batch.
       if (reverse.empty()) break;
-      std::sort(reverse.begin(), reverse.end());
+      SortByTarget(begin, &reverse);
       runs.clear();
       for (std::size_t j = 0; j < reverse.size(); ++j) {
         if (j == 0 || reverse[j].first != reverse[j - 1].first) {

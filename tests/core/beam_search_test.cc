@@ -415,6 +415,65 @@ TEST(BeamSearchLayoutTest, GraphFlatGraphAndLayerStackWalkIdentically) {
   }
 }
 
+// Lists at and above one expansion batch (degree 32, 33 and 70: up to
+// three kernel calls per hop) and lists that repeat an id (claimed once,
+// on its first occurrence): every layout still walks exactly like the
+// per-neighbour reference.
+TEST(BeamSearchLayoutTest, LongAndRepeatingListsWalkLikeReference) {
+  constexpr std::size_t kN = 400;
+  constexpr std::size_t kLong = 70;
+  static_assert(kLong > 2 * internal::kExpandBatch, "three chunks per hop");
+  for (const std::uint64_t seed : {31u, 32u}) {
+    Dataset data(kN, 8);
+    Rng rng(seed);
+    for (std::size_t i = 0; i < kN * 8; ++i) {
+      data.mutable_data()[i] = static_cast<float>(rng.Normal());
+    }
+    Graph graph(kN);
+    std::size_t cap = 0;
+    for (VectorId v = 0; v < kN; ++v) {
+      const std::size_t degrees[] = {internal::kExpandBatch,
+                                     internal::kExpandBatch + 1, kLong,
+                                     rng.UniformInt(12)};
+      std::vector<VectorId> list;
+      for (std::size_t i = degrees[v % 4]; i > 0; --i) {
+        list.push_back(static_cast<VectorId>(rng.UniformInt(kN)));
+      }
+      // Every third list repeats itself back to front.
+      if (v % 3 == 0) list.insert(list.end(), list.rbegin(), list.rend());
+      cap = std::max(cap, list.size());
+      graph.SetNeighbors(v, std::move(list));
+    }
+    const FlatGraph flat = FlatGraph::FromGraph(graph);
+    const LayerStack stack = SingleLayerStack(graph, cap);
+
+    for (VectorId q = 0; q < 10; ++q) {
+      for (const std::size_t beam : {8u, 48u}) {
+        WalkArgs args{&data, data.Row(q),
+                      {static_cast<VectorId>((q * 41 + 3) % kN), q}, beam};
+        for (const bool collect : {false, true}) {
+          args.collect = collect;
+          Walked reference;
+          VisitedTable visited(kN);
+          DistanceComputer dc(data);
+          reference.found = ReferenceBeamSearch(
+              graph, dc, args.query, args.seeds, 10, beam, &visited,
+              collect ? &reference.evaluated : nullptr, &reference.stats);
+          reference.dists = dc.count();
+          const std::string what =
+              "seed " + std::to_string(seed) + " q " + std::to_string(q) +
+              " beam " + std::to_string(beam) +
+              (collect ? " collect" : " search");
+          ExpectSameWalk(RunWalk(graph, args), reference, what + " Graph");
+          ExpectSameWalk(RunWalk(flat, args), reference, what + " FlatGraph");
+          ExpectSameWalk(RunWalk(stack.Layer(1), args), reference,
+                         what + " LayerStack");
+        }
+      }
+    }
+  }
+}
+
 TEST(BeamSearchTest, SingletonGraph) {
   Dataset data(1, 4);
   for (std::size_t d = 0; d < 4; ++d) data.MutableRow(0)[d] = 1.0f;

@@ -2,8 +2,11 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <fstream>
+#include <sstream>
 #include <string>
 #include <utility>
+#include <vector>
 
 #include <gtest/gtest.h>
 
@@ -119,6 +122,135 @@ TEST(DatasetAlignmentTest, LoadedDatasetsAligned) {
   EXPECT_TRUE(IsAligned(loaded.data()));
   std::remove(path.c_str());
 }
+
+bool IsHugeAligned(const float* p) {
+  return reinterpret_cast<std::uintptr_t>(p) % kHugePageBytes == 0;
+}
+
+// 64-dim rows: 8192 rows fill exactly one 2 MiB page.
+constexpr std::size_t kWideDim = 64;
+constexpr std::size_t kRowsPerHugePage =
+    kHugePageBytes / (kWideDim * sizeof(float));
+
+// Buffers of 2 MiB or more take the allocator's huge-page path on every
+// construction path; one byte less keeps the 64-byte path.
+TEST(DatasetAlignmentTest, LargeBuffersAreHugePageAligned) {
+  const Dataset data = MakeSequential(kRowsPerHugePage + 300, kWideDim);
+  EXPECT_TRUE(IsHugeAligned(data.data()));
+  EXPECT_TRUE(IsHugeAligned(Dataset(kRowsPerHugePage, kWideDim).data()));
+  EXPECT_TRUE(IsHugeAligned(data.Clone().data()));
+  EXPECT_TRUE(IsHugeAligned(data.Prefix(kRowsPerHugePage).data()));
+
+  std::vector<VectorId> ids(kRowsPerHugePage + 1);
+  for (std::size_t i = 0; i < ids.size(); ++i) {
+    ids[i] = static_cast<VectorId>(data.size() - 1 - i);
+  }
+  const Dataset selected = data.Select(ids);
+  EXPECT_TRUE(IsHugeAligned(selected.data()));
+  EXPECT_EQ(selected.Row(0)[0], data.Row(data.size() - 1)[0]);
+  const Dataset owned = DatasetView(data, ids).Materialize();
+  EXPECT_TRUE(IsHugeAligned(owned.data()));
+
+  const std::string path = TempPath("huge.fvecs");
+  ASSERT_TRUE(WriteFvecs(path, data).ok());
+  Dataset loaded;
+  ASSERT_TRUE(ReadFvecs(path, &loaded).ok());
+  EXPECT_TRUE(IsHugeAligned(loaded.data()));
+  ASSERT_EQ(loaded.size(), data.size());
+  EXPECT_EQ(loaded.Row(kRowsPerHugePage)[5], data.Row(kRowsPerHugePage)[5]);
+  std::remove(path.c_str());
+
+  // Just under the threshold: the small path, still cache-line aligned.
+  const Dataset small(kHugePageBytes / sizeof(float) - 1, 1);
+  EXPECT_TRUE(IsAligned(small.data()));
+}
+
+// Append moves a buffer from the small path to the huge path; the old
+// buffer must be freed through the small path (the sanitizer builds flag
+// a mismatched aligned delete).
+TEST(DatasetAlignmentTest, AppendAcrossThresholdSwitchesPath) {
+  Dataset grown = MakeSequential(kRowsPerHugePage - 100, kWideDim);
+  EXPECT_TRUE(IsAligned(grown.data()));
+  const Dataset more = MakeSequential(200, kWideDim);
+  grown.Append(more);
+  ASSERT_EQ(grown.size(), kRowsPerHugePage + 100);
+  EXPECT_TRUE(IsHugeAligned(grown.data()));
+  const auto last_old = static_cast<VectorId>(kRowsPerHugePage - 101);
+  EXPECT_EQ(grown.Row(last_old)[0], static_cast<float>(last_old * kWideDim));
+  EXPECT_EQ(grown.Row(kRowsPerHugePage + 99)[3], more.Row(199)[3]);
+}
+
+#if defined(__linux__)
+// One mapping of /proc/self/smaps: its range, its name ("" if anonymous)
+// and its VmFlags line.
+struct Mapping {
+  std::uintptr_t start = 0;
+  std::uintptr_t end = 0;
+  std::string name;
+  std::string flags;
+};
+
+std::vector<Mapping> Mappings() {
+  std::ifstream smaps("/proc/self/smaps");
+  std::vector<Mapping> maps;
+  std::string line;
+  while (std::getline(smaps, line)) {
+    Mapping m;
+    char dash = 0;
+    std::string perms, offset, dev, inode;
+    std::istringstream header(line);
+    if (header >> std::hex >> m.start >> dash >> m.end && dash == '-' &&
+        header >> perms >> offset >> dev >> inode) {
+      header >> m.name;
+      maps.push_back(m);
+    } else if (!maps.empty() && line.rfind("VmFlags:", 0) == 0) {
+      maps.back().flags = line;
+    }
+  }
+  return maps;
+}
+
+// The mapping holding `p`; an empty one if none does.
+Mapping MappingOf(const void* p) {
+  const auto addr = reinterpret_cast<std::uintptr_t>(p);
+  for (const Mapping& m : Mappings()) {
+    if (m.start <= addr && addr < m.end) return m;
+  }
+  return {};
+}
+
+std::string VmFlagsOf(const void* p) { return MappingOf(p).flags; }
+
+TEST(DatasetAlignmentTest, LargeBuffersAdviseHugePages) {
+  std::ifstream thp("/sys/kernel/mm/transparent_hugepage/enabled");
+  std::string mode;
+  if (!std::getline(thp, mode) || mode.find("[never]") != std::string::npos) {
+    GTEST_SKIP() << "no transparent huge pages";
+  }
+  const Dataset data(2 * kRowsPerHugePage + 1, kWideDim);
+  EXPECT_NE(VmFlagsOf(data.data()).find(" hg"), std::string::npos)
+      << VmFlagsOf(data.data());
+}
+
+// A huge buffer lives in a mapping of its own, never on the heap. glibc
+// serves a few-MiB aligned request from the heap once freeing a larger
+// chunk has raised its mmap threshold; advice given to such a buffer would
+// stay on heap ranges that later hold small objects.
+TEST(DatasetAlignmentTest, HugeAdviceStaysOffTheHeap) {
+  { const Dataset freed(4 * kRowsPerHugePage, kWideDim); }  // 8 MiB.
+  {
+    const Dataset data(3 * kRowsPerHugePage / 2, kWideDim);  // 3 MiB.
+    const Mapping holder = MappingOf(data.data());
+    EXPECT_NE(holder.name, "[heap]");
+    EXPECT_EQ(holder.start, reinterpret_cast<std::uintptr_t>(data.data()));
+  }
+  for (const Mapping& m : Mappings()) {
+    if (m.name == "[heap]") {
+      EXPECT_EQ(m.flags.find(" hg"), std::string::npos) << m.flags;
+    }
+  }
+}
+#endif
 
 TEST(DatasetViewTest, DefaultIsEmpty) {
   DatasetView view;

@@ -93,5 +93,52 @@ TEST(VisitedTableTest, WrapThenContinueManyEpochs) {
   }
 }
 
+// Real wrap-arounds, no JumpToEpochForTesting: every epoch stamps the
+// vertex numbered by its epoch value (or the next one), so each wrap
+// leaves a stale stamp equal to every epoch value of the next cycle unless
+// the wrap clears them. Every accessor must agree that none survives.
+TEST(VisitedTableTest, NaturalWrapsClearEveryStaleStamp) {
+  constexpr std::size_t kCycle = VisitedTable::kMaxEpoch;  // Epochs 1..255.
+  VisitedTable table(kCycle + 3);
+  const std::size_t epochs = 3 * kCycle + 7;
+  std::size_t wraps = 0;
+  for (std::size_t e = 0; e < epochs; ++e) {
+    const std::uint32_t before = table.epoch();
+    table.NewEpoch();
+    if (table.epoch() < before) {
+      ++wraps;
+      EXPECT_EQ(table.epoch(), 1u);
+    }
+    // Every vertex starts the epoch unvisited, whatever it was stamped with.
+    for (VectorId v = 0; v < table.size(); ++v) {
+      ASSERT_FALSE(table.Visited(v)) << "epoch " << e << " vertex " << v;
+    }
+    // Stamp the vertex named by this epoch's residue (or its successor),
+    // rotating through the accessors that write stamps.
+    const auto v = static_cast<VectorId>(table.epoch());
+    switch (e % 4) {
+      case 0:
+        EXPECT_TRUE(table.TryVisit(v));
+        EXPECT_FALSE(table.TryVisit(v));
+        break;
+      case 1:
+        // The walk's use: a count advanced by the result.
+        EXPECT_EQ(std::size_t{0} + table.TryVisit(v), 1u);
+        EXPECT_EQ(std::size_t{0} + table.TryVisit(v), 0u);
+        break;
+      case 2:
+        table.MarkVisited(v);
+        EXPECT_TRUE(table.Visited(v));
+        EXPECT_FALSE(table.TryVisit(v));
+        break;
+      default:
+        EXPECT_TRUE(table.TryVisit(v + 1));
+        EXPECT_FALSE(table.TryVisit(v + 1));
+        break;
+    }
+  }
+  EXPECT_EQ(wraps, 3u);
+}
+
 }  // namespace
 }  // namespace gass::core
